@@ -7,8 +7,9 @@ Run from the root of a checkout::
 Each repetition is a fresh ``worker.py`` process running one public
 experiment driver (see ``specs.py``); the benchmark repeats until
 ``--seconds`` have passed (at least three repetitions) and reports the
-fastest repetition's ``wall_s`` and the median ``setup_s`` and
-``peak_rss_mb`` (see ``FOLD``).  Every repetition's report digest is
+median ``wall_s``, ``setup_s`` and ``peak_rss_mb``.  Both times are in
+seconds at the reference host speed (see ``hostspeed.py``).  Every
+repetition's report digest is
 checked against the committed golden table, and its record -- digest,
 paper deviation, resolved core, scheduler, Python version, ``nproc`` --
 is printed as one JSON line.  The last line of standard output is the
@@ -50,11 +51,6 @@ OUT = ROOT / ".perfbench-out"
 #: End-to-end metric -> unit (all lower-is-better).
 END_TO_END: Dict[str, str] = {"wall_s": "s", "setup_s": "s",
                               "peak_rss_mb": "MB"}
-#: How a run folds its repetitions into one value (default: median).
-#: Interference from other tenants of a shared host only ever adds time
-#: and comes in phases of seconds to minutes, so the fastest repetition
-#: is the steadiest estimate of the code's own wall time.
-FOLD = {"wall_s": min}
 #: Fewest repetitions a run makes, whatever ``--seconds`` says.
 MIN_REPS = 3
 #: Set-up-only worker starts after each untraced repetition.
@@ -226,12 +222,11 @@ def bench(spec: specs.Spec, seed: int, seconds: float, trace: bool,
         values = {name: [rep[name] for rep in plain] for name in END_TO_END}
         values["setup_s"] += [probe["setup_s"] for probe in samples["setup"]]
         result["metrics"] = {
-            name: {"value": FOLD.get(name, _median)(values[name]) if values[name] else 0.0,
-                   "unit": unit}
+            name: {"value": _median(values[name]), "unit": unit}
             for name, unit in END_TO_END.items()}
     _emit({"summary": spec.name, "seed": seed, "driver_seed": driver_seed,
            "reps": {kind: len(records) for kind, records in samples.items()},
-           "wall_s_median": _median([rep["wall_s"] for rep in plain]),
+           "host_wall_s_median": _median([rep["host_wall_s"] for rep in plain]),
            "paper_dev_pct": plain[0].get("paper_dev_pct") if plain else None,
            **({key: plain[0][key] for key in ("core", "scheduler", "python",
                                                 "nproc")} if plain else {})})
@@ -239,8 +234,8 @@ def bench(spec: specs.Spec, seed: int, seconds: float, trace: bool,
 
 
 def per_layer_metrics(plain: List[dict], traced: List[dict]) -> Dict[str, dict]:
-    untraced_wall = _median([rep["wall_s"] for rep in plain])
-    traced_wall = _median([rep["wall_s"] for rep in traced])
+    untraced_wall = _median([rep["host_wall_s"] for rep in plain])
+    traced_wall = _median([rep["host_wall_s"] for rep in traced])
     values: Dict[str, float] = {}
     for name, (unit, _better) in PER_LAYER.items():
         samples = [rep["layers"][name] for rep in traced if name in rep["layers"]]

@@ -11,15 +11,21 @@ record as its last line of standard output:
 * ``peak_rss_mb`` -- this process's resident-memory high-water mark;
 * the report digest, the paper deviation and the run's provenance.
 
+Both times are read from a :class:`hostspeed.SpeedClock` started at the
+first statement, so they are in seconds at the reference host speed;
+``host_setup_s`` and ``host_wall_s`` carry the same spans in host
+seconds, without the clock's own samples.
+
 With ``--trace PATH`` the driver runs under :class:`layers.Tracer`; the
 record then carries the raw per-layer metrics and a Chrome trace is
 written to ``PATH``.  ``--experiment ID`` instead times one entry of
 ``repro.experiments.cli.EXPERIMENTS`` (the informational table).
 """
 
-import time
+import hostspeed
 
-_START = time.perf_counter()
+CLOCK = hostspeed.SpeedClock()
+CLOCK.start()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -52,6 +58,14 @@ def provenance(core: str, scheduler: str) -> dict:
             "nproc": os.cpu_count()}
 
 
+def timed(function, *args):
+    """``(result, reference_s, host_s)`` of one call."""
+    start, host_start = CLOCK.read()
+    result = function(*args)
+    end, host_end = CLOCK.read()
+    return result, end - start, host_end - host_start
+
+
 def run_workload(args) -> dict:
     spec = specs.SPECS[args.workload]
     driver, config_cls = spec.resolve()
@@ -62,34 +76,37 @@ def run_workload(args) -> dict:
         from repro.experiments.common import ExperimentPlatform
         platform = ExperimentPlatform()
     core = Simulator().core  # resolves SIM_CORE, loading the compiled core
-    setup_s = time.perf_counter() - _START
+    setup_s, host_setup_s = CLOCK.read()
+    record = {"core": core, "setup_s": setup_s, "host_setup_s": host_setup_s}
     if args.setup_only:
-        return {"core": core, "setup_s": setup_s}
+        return record
 
     config = spec.make_config(config_cls, args.driver_seed, tiny=args.tiny)
     call_args = (config, platform) if spec.platform else (config,)
-    record = provenance(core, getattr(config, "scheduler", "n/a"))
-    record.update(setup_s=setup_s, driver_seed=args.driver_seed)
+    record.update(provenance(core, getattr(config, "scheduler", "n/a")),
+                  driver_seed=args.driver_seed)
     if args.trace:
+        # The profiler would time the clock's samples too; the traced
+        # run reports host seconds only.
+        CLOCK.stop()
         tracer = layers.Tracer(Path(specs.__file__).resolve().parents[1]
                                / "src" / "repro")
         tracer.install()
         try:
-            report, wall_s = tracer.profile(driver, *call_args)
+            report, host_wall_s = tracer.profile(driver, *call_args)
         finally:
             tracer.uninstall()
-        record["layers"] = layers.raw_layer_metrics(tracer, wall_s)
+        record["layers"] = layers.raw_layer_metrics(tracer, host_wall_s)
         trace_path = Path(args.trace)
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         trace_path.write_text(json.dumps(tracer.chrome_trace(
-            {"workload": spec.name, "traced_wall_s": wall_s, **record})))
+            {"workload": spec.name, "traced_wall_s": host_wall_s, **record})))
     else:
-        start = time.perf_counter()
-        report = driver(*call_args)
-        wall_s = time.perf_counter() - start
+        report, wall_s, host_wall_s = timed(driver, *call_args)
+        record["wall_s"] = wall_s
     if args.perturb:
         specs.perturb(report)
-    record.update(wall_s=wall_s, peak_rss_mb=peak_rss_mb(),
+    record.update(host_wall_s=host_wall_s, peak_rss_mb=peak_rss_mb(),
                   digest=specs.report_digest(report),
                   paper_dev_pct=specs.paper_deviation_pct(report),
                   problems=specs.report_problems(report))
@@ -101,11 +118,9 @@ def run_experiment(experiment: str) -> dict:
     from repro.sim.engine import Simulator
 
     core = Simulator().core
-    start = time.perf_counter()
-    report = run_one(experiment)
-    wall_s = time.perf_counter() - start
+    report, wall_s, host_wall_s = timed(run_one, experiment)
     record = provenance(core, "auto")
-    record.update(experiment=experiment, wall_s=wall_s,
+    record.update(experiment=experiment, wall_s=wall_s, host_wall_s=host_wall_s,
                   peak_rss_mb=peak_rss_mb(), digest=specs.report_digest(report))
     return record
 
@@ -141,4 +156,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        CLOCK.stop()  # a timer signal at shutdown would kill the interpreter
+    sys.exit(code)
