@@ -57,6 +57,8 @@ class CrmaChannel:
         self.ramt = RemoteAddressMappingTable(capacity=self.config.ramt_entries,
                                               name=f"{name}.ramt")
         self.tlb = TransportTlb(capacity=self.config.tltlb_entries)
+        # (ops, bytes) counter pairs, bound on first use.
+        self._c_reads = self._c_writes = None
 
     # ------------------------------------------------------------------
     # Mapping management (set up by the sharing layer / runtime)
@@ -94,8 +96,7 @@ class CrmaChannel:
         """Latency of one remote cacheline fill of ``size_bytes``."""
         if size_bytes <= 0:
             raise ValueError("read size must be positive")
-        self.stats.counter("reads").increment()
-        self.stats.counter("read_bytes").increment(size_bytes)
+        self._count_read(size_bytes)
         transport = self.backend.round_trip_ns(
             _REQUEST_PAYLOAD_BYTES, size_bytes,
             server_ns=self.donor_dram.access_latency_ns(size_bytes),
@@ -104,6 +105,14 @@ class CrmaChannel:
         return (self.config.request_processing_ns
                 + transport
                 + self.config.response_processing_ns)
+
+    def _count_read(self, size_bytes: int) -> None:
+        if self._c_reads is None:
+            self._c_reads = (self.stats.counter("reads"),
+                             self.stats.counter("read_bytes"))
+        reads, read_bytes = self._c_reads
+        reads.value += 1
+        read_bytes.value += size_bytes
 
     def submit_read(self, size_bytes: int,
                     deadline_ns: Optional[int] = None) -> PendingOp:
@@ -126,8 +135,7 @@ class CrmaChannel:
             raise TransportError(
                 f"{self.name}: submitted (overlappable) reads require "
                 "the event transport backend")
-        self.stats.counter("reads").increment()
-        self.stats.counter("read_bytes").increment(size_bytes)
+        self._count_read(size_bytes)
         op = submit(_REQUEST_PAYLOAD_BYTES, size_bytes,
                     server_ns=self.donor_dram.access_latency_ns(size_bytes),
                     request_kind=PacketKind.CRMA_READ,
@@ -141,8 +149,12 @@ class CrmaChannel:
         """Latency of one remote write (posted: retires once packetised)."""
         if size_bytes <= 0:
             raise ValueError("write size must be positive")
-        self.stats.counter("writes").increment()
-        self.stats.counter("write_bytes").increment(size_bytes)
+        if self._c_writes is None:
+            self._c_writes = (self.stats.counter("writes"),
+                              self.stats.counter("write_bytes"))
+        writes, write_bytes = self._c_writes
+        writes.value += 1
+        write_bytes.value += size_bytes
         # The store retires when the packet has been accepted by the
         # channel: RAMT lookup + packetisation + link serialization.
         return (self.config.request_processing_ns

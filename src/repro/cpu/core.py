@@ -24,11 +24,16 @@ that the paper's experiments measure.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Union
 
-from repro.cpu.hierarchy import MemoryHierarchy
-from repro.sim.stats import StatsRegistry
+from repro.cpu.hierarchy import DRAM, MemoryHierarchy
+from repro.sim.stats import Counter, StatsRegistry
+
+#: Core counter bumped per access, by the level that served it (indexed
+#: like :data:`repro.cpu.hierarchy.SOURCES`; DRAM fills are counted only
+#: in ``accesses``).
+_SOURCE_COUNTERS = ("cache_hits", None, "remote_accesses", "swap_accesses")
 
 
 @dataclass
@@ -94,6 +99,11 @@ class TimingCore:
         self._stall_ns = 0.0
         # Completion times of outstanding async operations (min-heap).
         self._outstanding: List[float] = []
+        # Counter handles, bound on first use (None until then) so the
+        # registry only ever holds counters that have fired.
+        self._c_instructions: Optional[Counter] = None
+        self._c_accesses: Optional[Counter] = None
+        self._c_sources: List[Optional[Counter]] = [None] * len(_SOURCE_COUNTERS)
 
     # ------------------------------------------------------------------
     # Clock
@@ -120,7 +130,9 @@ class TimingCore:
         elapsed = self.config.cycles_to_ns(instructions * self.config.cycles_per_instruction)
         self._now += elapsed
         self._compute_ns += elapsed
-        self.stats.counter("instructions").increment(int(instructions))
+        if self._c_instructions is None:
+            self._c_instructions = self.stats.counter("instructions")
+        self._c_instructions.value += int(instructions)
 
     def stall(self, nanoseconds: float) -> None:
         """Stall the core for a fixed software/driver overhead."""
@@ -131,18 +143,11 @@ class TimingCore:
 
     def read(self, address: int) -> int:
         """Blocking load; returns the access latency in ns."""
-        return self._blocking_access(address, is_write=False)
+        return self.access_many((address,), False)[0]
 
     def write(self, address: int) -> int:
         """Blocking store; returns the access latency in ns."""
-        return self._blocking_access(address, is_write=True)
-
-    def _blocking_access(self, address: int, is_write: bool) -> int:
-        outcome = self.hierarchy.access(address, is_write=is_write)
-        self._now += outcome.latency_ns
-        self._memory_ns += outcome.latency_ns
-        self._count_access(outcome)
-        return outcome.latency_ns
+        return self.access_many((address,), True)[0]
 
     def read_async(self, address: int) -> int:
         """Non-blocking load used by latency-tolerant code.
@@ -151,23 +156,58 @@ class TimingCore:
         window is full the core first stalls until the oldest operation
         completes.  Returns the latency of the individual access.
         """
-        return self._async_access(address, is_write=False)
+        return self.access_many((address,), False, asynchronous=True)[0]
 
     def write_async(self, address: int) -> int:
         """Non-blocking store (posted write)."""
-        return self._async_access(address, is_write=True)
+        return self.access_many((address,), True, asynchronous=True)[0]
 
-    def _async_access(self, address: int, is_write: bool) -> int:
-        if len(self._outstanding) >= self.config.max_outstanding:
-            oldest = heapq.heappop(self._outstanding)
-            if oldest > self._now:
-                stall = oldest - self._now
-                self._now = oldest
-                self._memory_ns += stall
-        outcome = self.hierarchy.access(address, is_write=is_write)
-        self._count_access(outcome)
-        heapq.heappush(self._outstanding, self._now + outcome.latency_ns)
-        return outcome.latency_ns
+    def access_many(self, addresses: Iterable[int],
+                    writes: Union[bool, Iterable[bool]] = False,
+                    asynchronous: bool = False) -> List[int]:
+        """Issue memory accesses back to back; return their latencies.
+
+        Equivalent to calling :meth:`read` / :meth:`write` (or their
+        ``_async`` forms) once per address, in order, with no compute in
+        between.  ``writes`` is one flag for every access or a sequence
+        of per-access flags.  Each latency is added to the clock on its
+        own, in access order, so the float clock is the same as for the
+        one-at-a-time calls.  If an access raises, the exception
+        propagates before the clock or the counters take any of the
+        batch.
+        """
+        latencies, served = self.hierarchy.access_many(addresses, writes)
+        now = self._now
+        memory_ns = self._memory_ns
+        if asynchronous:
+            outstanding = self._outstanding
+            window = self.config.max_outstanding
+            for latency in latencies:
+                if len(outstanding) >= window:
+                    oldest = heapq.heappop(outstanding)
+                    if oldest > now:
+                        memory_ns += oldest - now
+                        now = oldest
+                heapq.heappush(outstanding, now + latency)
+        else:
+            for latency in latencies:
+                now += latency
+                memory_ns += latency
+        self._now = now
+        self._memory_ns = memory_ns
+        if served:
+            if self._c_accesses is None:
+                self._c_accesses = self.stats.counter("accesses")
+            self._c_accesses.value += len(served)
+            counters = self._c_sources
+            for source in served:
+                if source != DRAM:
+                    counter = counters[source]
+                    if counter is None:
+                        counter = counters[source] = self.stats.counter(
+                            _SOURCE_COUNTERS[source])
+                    counter.value += 1
+        return latencies
 
     def drain(self) -> None:
         """Wait for every outstanding asynchronous operation."""
@@ -178,15 +218,6 @@ class TimingCore:
             self._memory_ns += last - self._now
             self._now = last
         self._outstanding.clear()
-
-    def _count_access(self, outcome) -> None:
-        self.stats.counter("accesses").increment()
-        if outcome.cache_hit:
-            self.stats.counter("cache_hits").increment()
-        if outcome.served_by == "remote":
-            self.stats.counter("remote_accesses").increment()
-        elif outcome.served_by == "swap":
-            self.stats.counter("swap_accesses").increment()
 
     # ------------------------------------------------------------------
     # Result extraction

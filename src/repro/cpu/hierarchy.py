@@ -15,15 +15,16 @@ the three memory-supply strategies the paper compares meet:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, Optional, Union
 
-from repro.mem.cache import Cache, CacheConfig
+from repro.mem.cache import HIT, Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
-from repro.mem.memory_map import PhysicalMemoryMap, RegionKind
+from repro.mem.memory_map import MemoryMapError, PhysicalMemoryMap, RegionKind
 from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.swap import SwapManager
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 
 class RemoteMemoryBackend:
@@ -60,6 +61,16 @@ class AccessOutcome:
     served_by: str  # "cache" | "dram" | "remote" | "swap"
 
 
+#: Level that served an access; :meth:`MemoryHierarchy.access_many`
+#: reports each access as an index into this tuple.
+SOURCES = ("cache", "dram", "remote", "swap")
+CACHE, DRAM, REMOTE, SWAP = range(4)
+#: Fill-table entry for a hole (a donated range): nothing serves it.
+#: SWAP in the table covers everything beyond visible memory that is
+#: not hot-plugged remote memory.
+_UNMAPPED = 4
+
+
 class MemoryHierarchy:
     """Cache + DRAM + optional remote backend + optional swap manager."""
 
@@ -80,6 +91,21 @@ class MemoryHierarchy:
             StreamPrefetcher() if enable_prefetch else None)
         self.name = name
         self.stats = StatsRegistry(name)
+        # Geometry and closed-form latencies, bound once.
+        config = self.cache.config
+        self._line = config.line_bytes
+        self._hit_ns = config.hit_latency_ns
+        self._miss_ns = config.hit_latency_ns + config.miss_penalty_ns
+        self._dram_ns = self.dram.fill_latency_ns(config.line_bytes)
+        # Counter handles, bound on first use (None until then) so the
+        # registry only ever holds counters that have fired.
+        self._c_hits: Optional[Counter] = None
+        self._c_covered: Optional[Counter] = None
+        self._c_fills: List[Optional[Counter]] = [None] * len(SOURCES)
+        # Fill source per address interval, valid for one map version.
+        self._table_version = -1
+        self._bounds: List[int] = []
+        self._kinds: List[int] = []
 
     @property
     def line_bytes(self) -> int:
@@ -90,67 +116,174 @@ class MemoryHierarchy:
 
     def access(self, address: int, is_write: bool = False) -> AccessOutcome:
         """Perform one demand access and return its latency and source."""
-        result = self.cache.access(address, is_write=is_write)
-        latency = result.latency_ns
-        if result.hit:
-            self.stats.counter("cache_hits").increment()
-            return AccessOutcome(latency_ns=latency, cache_hit=True, served_by="cache")
+        latencies, served = self.access_many((address,), (is_write,))
+        return AccessOutcome(latency_ns=latencies[0], cache_hit=served[0] == CACHE,
+                             served_by=SOURCES[served[0]])
 
-        # Handle the writeback of the evicted dirty line first.
-        if result.writeback_address is not None:
-            latency += self._fill_latency(result.writeback_address, is_write=True)
+    def access_many(self, addresses: Iterable[int],
+                    writes: Union[bool, Iterable[bool]] = False) -> tuple:
+        """Perform demand accesses in order; return ``(latencies, served)``.
 
-        served_by, fill_ns = self._classify_and_fill(address, is_write)
-        if self.prefetcher is not None and served_by in ("dram", "remote"):
-            # Sequential-stream fills pipeline behind the prefetcher; the
-            # demand miss only observes a fraction of the fill latency,
-            # bounded below by the cacheline's link/DRAM occupancy.
-            factor = self.prefetcher.observe_miss(result.line_address)
-            if factor > 1:
-                floor = self.dram.access_latency_ns(self.line_bytes)
-                fill_ns = max(fill_ns // factor, floor)
-                self.stats.counter("prefetch_covered_fills").increment()
-        latency += fill_ns
-        self.stats.counter(f"fills_{served_by}").increment()
-        return AccessOutcome(latency_ns=latency, cache_hit=False, served_by=served_by)
+        ``writes`` is one flag for every access or a sequence of
+        per-access flags.  ``latencies[i]`` is the latency of access ``i``
+        and ``SOURCES[served[i]]`` the level that served it; every side
+        effect (cache, prefetcher, swap, backend, counters) happens in
+        access order, exactly as for the same accesses made one at a
+        time.  If an access raises, the accesses before it have been
+        applied and the exception propagates.
+        """
+        line, hit_ns, miss_ns, dram_ns = self._line, self._hit_ns, self._miss_ns, self._dram_ns
+        backend = self.remote_backend
+        swap = self.swap
+        prefetcher = self.prefetcher
+        stats = self.stats
+        c_hits, c_covered, c_fills = self._c_hits, self._c_covered, self._c_fills
+        memory_map = self.memory_map
+        bounds, kinds, version = self._fill_table()
 
-    def _classify_and_fill(self, address: int, is_write: bool) -> tuple:
-        line = self.line_bytes
-        visible = self.memory_map.visible_capacity()
-        if address >= self.memory_map.highest_address() or (
-            address >= visible and not self.memory_map.is_remote(address)
-        ):
-            if self.swap is None:
-                raise RuntimeError(
-                    f"{self.name}: address {address:#x} exceeds visible memory and no "
-                    "swap manager is configured"
-                )
-            swap_ns = self.swap.access(address, is_write=is_write)
-            # After the page is resident the line is filled from DRAM.
-            return "swap", swap_ns + self.dram.access_latency_ns(line)
-
-        region = self.memory_map.lookup(address)
-        if region.kind == RegionKind.REMOTE_MAPPED:
-            if self.remote_backend is None:
-                raise RuntimeError(
-                    f"{self.name}: address {address:#x} is remote-mapped but no remote "
-                    "backend is configured"
-                )
-            if is_write:
-                return "remote", self.remote_backend.remote_write_latency_ns(line)
-            return "remote", self.remote_backend.remote_read_latency_ns(line)
-
-        return "dram", self.dram.access_latency_ns(line)
-
-    def _fill_latency(self, address: int, is_write: bool) -> int:
-        """Latency contribution of a writeback to ``address``."""
+        latencies: List[int] = []
+        served: List[int] = []
+        # DRAM line accesses (fills, writebacks, prefetch floors) are
+        # counted here and folded into the DRAM's counters on the way out.
+        dram_lines = 0
         try:
-            _, latency = self._classify_and_fill(address, is_write)
-        except RuntimeError:
-            # Writebacks to since-unmapped regions are dropped by the
-            # sharing protocol's cleanup; charge nothing.
+            for victim, address, is_write in self.cache.stream(addresses, writes):
+                if victim == HIT:
+                    if c_hits is None:
+                        c_hits = self._c_hits = stats.counter("cache_hits")
+                    c_hits.value += 1
+                    latencies.append(hit_ns)
+                    served.append(CACHE)
+                    continue
+
+                if memory_map.version != version:
+                    bounds, kinds, version = self._fill_table()
+                latency = miss_ns
+                if victim is not None:
+                    # Write back the evicted dirty line first.
+                    kind = kinds[bisect_right(bounds, victim) - 1]
+                    if kind == DRAM:
+                        dram_lines += 1
+                        latency += dram_ns
+                    else:
+                        latency += self._writeback_ns(victim, kind)
+
+                kind = kinds[bisect_right(bounds, address) - 1]
+                if kind == DRAM:
+                    dram_lines += 1
+                    fill_ns = dram_ns
+                elif kind == REMOTE and backend is not None:
+                    if is_write:
+                        fill_ns = backend.remote_write_latency_ns(line)
+                    else:
+                        fill_ns = backend.remote_read_latency_ns(line)
+                elif kind == SWAP and swap is not None:
+                    # After the page is resident the line is filled from DRAM.
+                    fill_ns = swap.access(address, is_write=is_write) + dram_ns
+                    dram_lines += 1
+                else:
+                    raise self._unbacked_error(address, kind)
+
+                if prefetcher is not None and kind != SWAP:
+                    # Sequential-stream fills pipeline behind the prefetcher;
+                    # the demand miss only observes a fraction of the fill
+                    # latency, bounded below by the line's DRAM occupancy
+                    # (charged as one more DRAM access).
+                    factor = prefetcher.observe_miss(address // line)
+                    if factor > 1:
+                        dram_lines += 1
+                        fill_ns = max(fill_ns // factor, dram_ns)
+                        if c_covered is None:
+                            c_covered = self._c_covered = stats.counter(
+                                "prefetch_covered_fills")
+                        c_covered.value += 1
+                latencies.append(latency + fill_ns)
+                served.append(kind)
+                counter = c_fills[kind]
+                if counter is None:
+                    counter = c_fills[kind] = stats.counter("fills_" + SOURCES[kind])
+                counter.value += 1
+        finally:
+            if dram_lines:
+                accesses, nbytes = self.dram.access_counters()
+                accesses.value += dram_lines
+                nbytes.value += dram_lines * line
+        return latencies, served
+
+    def _fill_table(self) -> tuple:
+        """``(bounds, kinds, version)`` for the memory map's current version.
+
+        Address interval ``[bounds[i], bounds[i+1])`` (the last one is
+        open-ended) is filled from ``kinds[i]``.  The table is rebuilt
+        only when the map's version changes.
+        """
+        memory_map = self.memory_map
+        if memory_map.version != self._table_version:
+            visible = memory_map.visible_capacity()
+            highest = memory_map.highest_address()
+            edges = {0, visible, highest}
+            for region in memory_map.regions:
+                edges.update((region.start, region.end))
+            bounds: List[int] = []
+            kinds: List[int] = []
+            # Every classification predicate is constant between two
+            # consecutive edges, so classifying each interval's first
+            # address classifies the whole interval.
+            for start in sorted(edges):
+                kind = self._classify(start, visible, highest)
+                if not kinds or kinds[-1] != kind:
+                    bounds.append(start)
+                    kinds.append(kind)
+            self._bounds, self._kinds = bounds, kinds
+            self._table_version = memory_map.version
+        return self._bounds, self._kinds, self._table_version
+
+    def _classify(self, address: int, visible: int, highest: int) -> int:
+        memory_map = self.memory_map
+        if address >= highest or (
+            address >= visible and not memory_map.is_remote(address)
+        ):
+            return SWAP
+        try:
+            region = memory_map.lookup(address)
+        except MemoryMapError:
+            return _UNMAPPED
+        if region.kind == RegionKind.REMOTE_MAPPED:
+            return REMOTE
+        return DRAM
+
+    def _writeback_ns(self, address: int, kind: int) -> int:
+        """Latency of writing back a dirty line to ``address``.
+
+        Writebacks to a range that is no longer backed -- a donated hole,
+        or memory beyond the visible range with no swap manager (the top
+        of an unplugged remote region) -- are dropped by the sharing
+        protocol's cleanup and cost nothing.  Every other failure, such
+        as a remote backend or swap device error, propagates.
+        """
+        if kind == _UNMAPPED or (kind == SWAP and self.swap is None):
             return 0
-        return latency
+        if kind == REMOTE:
+            if self.remote_backend is None:
+                raise self._unbacked_error(address, kind)
+            return self.remote_backend.remote_write_latency_ns(self._line)
+        swap_ns = self.swap.access(address, is_write=True)
+        return swap_ns + self.dram.access_latency_ns(self._line)
+
+    def _unbacked_error(self, address: int, kind: int) -> Exception:
+        """The error a demand miss to ``address`` raises when nothing serves it."""
+        if kind == SWAP:
+            return RuntimeError(
+                f"{self.name}: address {address:#x} exceeds visible memory and no "
+                "swap manager is configured"
+            )
+        if kind == REMOTE:
+            return RuntimeError(
+                f"{self.name}: address {address:#x} is remote-mapped but no remote "
+                "backend is configured"
+            )
+        return MemoryMapError(
+            f"address {address:#x} is not mapped on node {self.memory_map.node_id}")
 
     # Convenience read-only metrics ------------------------------------
     @property

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.sim.stats import StatsRegistry
 
@@ -51,6 +52,10 @@ class AccessResult:
     line_address: int = 0
 
 
+#: What :meth:`Cache.stream` yields for an access that hit.
+HIT = -1
+
+
 class Cache:
     """LRU set-associative write-back, write-allocate cache."""
 
@@ -60,46 +65,84 @@ class Cache:
         self.stats = StatsRegistry(name)
         # Each set is an OrderedDict mapping tag -> dirty flag, ordered
         # from least to most recently used.
-        self._sets: Dict[int, OrderedDict] = {
-            index: OrderedDict() for index in range(self.config.num_sets)
-        }
-
-    def _decompose(self, address: int) -> tuple:
-        line_address = address // self.config.line_bytes
-        set_index = line_address % self.config.num_sets
-        tag = line_address // self.config.num_sets
-        return line_address, set_index, tag
+        self._sets: List[OrderedDict] = [
+            OrderedDict() for _ in range(self.config.num_sets)
+        ]
+        self._geometry = (self.config.line_bytes, self.config.num_sets,
+                          self.config.associativity)
+        # Counter handles, bound on first use (None until then) so the
+        # registry only ever holds counters that have fired.
+        self._c_reads = self._c_writes = self._c_hits = None
+        self._c_misses = self._c_writebacks = None
 
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Look up ``address``; allocate on miss, returning any writeback."""
-        if address < 0:
-            raise ValueError(f"negative address: {address}")
-        line_address, set_index, tag = self._decompose(address)
-        cache_set = self._sets[set_index]
-        counter = "writes" if is_write else "reads"
-        self.stats.counter(counter).increment()
-
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
-            if is_write:
-                cache_set[tag] = True
-            self.stats.counter("hits").increment()
+        ((victim, _, _),) = self.stream((address,), (is_write,))
+        line_address = address // self.config.line_bytes
+        if victim == HIT:
             return AccessResult(hit=True, latency_ns=self.config.hit_latency_ns,
                                 line_address=line_address)
+        return AccessResult(hit=False,
+                            latency_ns=self.config.hit_latency_ns
+                            + self.config.miss_penalty_ns,
+                            writeback_address=victim, line_address=line_address)
 
-        self.stats.counter("misses").increment()
-        writeback_address = None
-        if len(cache_set) >= self.config.associativity:
-            victim_tag, victim_dirty = cache_set.popitem(last=False)
-            if victim_dirty:
-                victim_line = victim_tag * self.config.num_sets + set_index
-                writeback_address = victim_line * self.config.line_bytes
-                self.stats.counter("writebacks").increment()
-        cache_set[tag] = is_write
-        latency = self.config.hit_latency_ns + self.config.miss_penalty_ns
-        return AccessResult(hit=False, latency_ns=latency,
-                            writeback_address=writeback_address,
-                            line_address=line_address)
+    def stream(self, addresses: Iterable[int],
+               writes: Union[bool, Iterable[bool]] = False) -> Iterator[tuple]:
+        """Look up ``addresses`` in order, allocating on every miss.
+
+        ``writes`` is one flag for every access or per-access flags.
+        Yields ``(outcome, address, is_write)`` per access, where
+        ``outcome`` is :data:`HIT`, None for a miss that evicted no dirty
+        line, or the address of the evicted dirty line that must be
+        written back.  Each access is applied only when the caller asks
+        for its result.
+        """
+        line_bytes, num_sets, ways = self._geometry
+        sets = self._sets
+        stats = self.stats
+        c_reads, c_writes = self._c_reads, self._c_writes
+        c_hits, c_misses = self._c_hits, self._c_misses
+        flags = repeat(writes) if writes.__class__ is bool else writes
+        for address, is_write in zip(addresses, flags):
+            if address < 0:
+                raise ValueError(f"negative address: {address}")
+            line_address = address // line_bytes
+            tag = line_address // num_sets
+            cache_set = sets[line_address % num_sets]
+            if is_write:
+                if c_writes is None:
+                    c_writes = self._c_writes = stats.counter("writes")
+                c_writes.value += 1
+            else:
+                if c_reads is None:
+                    c_reads = self._c_reads = stats.counter("reads")
+                c_reads.value += 1
+
+            if tag in cache_set:
+                cache_set.move_to_end(tag)
+                if is_write:
+                    cache_set[tag] = True
+                if c_hits is None:
+                    c_hits = self._c_hits = stats.counter("hits")
+                c_hits.value += 1
+                yield HIT, address, is_write
+                continue
+
+            if c_misses is None:
+                c_misses = self._c_misses = stats.counter("misses")
+            c_misses.value += 1
+            victim = None
+            if len(cache_set) >= ways:
+                victim_tag, victim_dirty = cache_set.popitem(last=False)
+                if victim_dirty:
+                    victim = ((victim_tag * num_sets + line_address % num_sets)
+                              * line_bytes)
+                    if self._c_writebacks is None:
+                        self._c_writebacks = stats.counter("writebacks")
+                    self._c_writebacks.value += 1
+            cache_set[tag] = is_write
+            yield victim, address, is_write
 
     def invalidate_range(self, start: int, size: int) -> int:
         """Invalidate all lines overlapping ``[start, start+size)``.
@@ -133,4 +176,4 @@ class Cache:
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(len(cache_set) for cache_set in self._sets.values())
+        return sum(len(cache_set) for cache_set in self._sets)

@@ -53,13 +53,26 @@ class Dram:
         """Latency of a demand access of ``size_bytes`` (cacheline fill)."""
         if size_bytes <= 0:
             raise ValueError(f"access size must be positive, got {size_bytes}")
+        accesses, nbytes = self.access_counters()
+        accesses.value += 1
+        nbytes.value += size_bytes
+        return self.fill_latency_ns(size_bytes)
+
+    def fill_latency_ns(self, size_bytes: int) -> int:
+        """Closed-form latency of a ``size_bytes`` demand access, uncounted.
+
+        Batched callers compute it once per request size and count each
+        access through :meth:`access_counters`.
+        """
+        transfer_ns = int(size_bytes * 8 / self.config.bandwidth_gbps)
+        return self.config.access_latency_ns + transfer_ns
+
+    def access_counters(self):
+        """The ``(accesses, bytes)`` counters, created on first call."""
         if self._ctr_accesses is None:
             self._ctr_accesses = self.stats.counter("accesses")
             self._ctr_bytes = self.stats.counter("bytes")
-        self._ctr_accesses.increment()
-        self._ctr_bytes.increment(size_bytes)
-        transfer_ns = int(size_bytes * 8 / self.config.bandwidth_gbps)
-        return self.config.access_latency_ns + transfer_ns
+        return self._ctr_accesses, self._ctr_bytes
 
     def dma_latency_ns(self, size_bytes: int) -> int:
         """Latency of a DMA transfer of ``size_bytes`` to/from DRAM."""

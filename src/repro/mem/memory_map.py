@@ -11,8 +11,9 @@ address-range bookkeeping for both sides of that flow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 class MemoryMapError(RuntimeError):
@@ -60,7 +61,17 @@ class MemoryRegion:
 
 
 class PhysicalMemoryMap:
-    """Per-node physical address-space bookkeeping."""
+    """Per-node physical address-space bookkeeping.
+
+    ``version`` counts the mutations made through :meth:`hot_remove`,
+    :meth:`hot_add_back`, :meth:`hot_plug_remote` and :meth:`hot_unplug`.
+    The derived queries (visible capacity, highest address, the region
+    table behind :meth:`lookup`) are recomputed only when it changes, so
+    callers on the per-access path may cache anything derived from the
+    map under the version they saw.  Regions must be changed through
+    those four methods; editing a :class:`MemoryRegion` in place is not
+    tracked.
+    """
 
     def __init__(self, local_capacity: int, node_id: int = 0):
         if local_capacity <= 0:
@@ -70,6 +81,35 @@ class PhysicalMemoryMap:
             MemoryRegion(start=0, size=local_capacity, kind=RegionKind.LOCAL,
                          label="boot-local")
         ]
+        self.version = 0
+        self._derived_version = -1
+        self._visible = 0
+        self._highest = 0
+        # Elementary address intervals: ``_bounds[i]`` starts the interval
+        # whose lookup result is ``_owners[i]`` (None when unmapped).
+        self._bounds: List[int] = []
+        self._owners: List[Optional[MemoryRegion]] = []
+
+    def _derive(self) -> None:
+        """Recompute the cached queries for the current version."""
+        regions = self._regions
+        self._visible = sum(
+            region.size for region in regions
+            if region.kind in (RegionKind.LOCAL, RegionKind.REMOTE_MAPPED)
+        )
+        self._highest = max(region.end for region in regions)
+        bounds = sorted({edge for region in regions
+                         for edge in (region.start, region.end)})
+        # Each interval resolves to the first matching region in list
+        # order, exactly as a linear scan of the region list would.
+        owners = [
+            next((region for region in regions
+                  if region.contains(start) and region.kind != RegionKind.REMOVED),
+                 None)
+            for start in bounds
+        ]
+        self._bounds, self._owners = bounds, owners
+        self._derived_version = self.version
 
     # ------------------------------------------------------------------
     # Queries
@@ -80,17 +120,20 @@ class PhysicalMemoryMap:
 
     def lookup(self, address: int) -> MemoryRegion:
         """Region containing ``address`` (REMOVED regions do not match)."""
-        for region in self._regions:
-            if region.contains(address) and region.kind != RegionKind.REMOVED:
-                return region
-        raise MemoryMapError(f"address {address:#x} is not mapped on node {self.node_id}")
+        if self._derived_version != self.version:
+            self._derive()
+        index = bisect_right(self._bounds, address) - 1
+        region = self._owners[index] if index >= 0 else None
+        if region is None:
+            raise MemoryMapError(
+                f"address {address:#x} is not mapped on node {self.node_id}")
+        return region
 
     def visible_capacity(self) -> int:
         """Bytes visible to the OS (local + hot-plugged remote)."""
-        return sum(
-            region.size for region in self._regions
-            if region.kind in (RegionKind.LOCAL, RegionKind.REMOTE_MAPPED)
-        )
+        if self._derived_version != self.version:
+            self._derive()
+        return self._visible
 
     def local_capacity(self) -> int:
         return sum(region.size for region in self._regions
@@ -105,7 +148,9 @@ class PhysicalMemoryMap:
                    if region.kind == RegionKind.REMOVED)
 
     def highest_address(self) -> int:
-        return max(region.end for region in self._regions)
+        if self._derived_version != self.version:
+            self._derive()
+        return self._highest
 
     def is_remote(self, address: int) -> bool:
         """True when ``address`` falls in a hot-plugged remote region."""
@@ -138,6 +183,7 @@ class PhysicalMemoryMap:
                 if region.size == 0:
                     self._regions.remove(region)
                 self._regions.append(donated)
+                self.version += 1
                 return donated
         raise MemoryMapError(
             f"node {self.node_id} cannot hot-remove {size} bytes: insufficient local memory"
@@ -150,6 +196,7 @@ class PhysicalMemoryMap:
         region.kind = RegionKind.LOCAL
         region.peer_node = None
         region.label = "reclaimed"
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Hot-plug (recipient side)
@@ -166,6 +213,7 @@ class PhysicalMemoryMap:
             label=label or f"borrowed-from-{donor_node}",
         )
         self._regions.append(region)
+        self.version += 1
         return region
 
     def hot_unplug(self, region: MemoryRegion) -> None:
@@ -173,6 +221,7 @@ class PhysicalMemoryMap:
         if region not in self._regions or region.kind != RegionKind.REMOTE_MAPPED:
             raise MemoryMapError("region is not a hot-plugged remote region of this node")
         self._regions.remove(region)
+        self.version += 1
 
     def translate_to_donor(self, address: int) -> tuple:
         """Translate a local remote-mapped address to ``(donor, donor_addr)``."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 
 @dataclass
@@ -45,6 +45,11 @@ class StreamPrefetcher:
         # stream id (allocation order) -> (next expected line, train count)
         self._streams: Dict[int, list] = {}
         self._next_stream_id = 0
+        # Counter handles, bound on first use (None until then) so the
+        # registry only ever holds counters that have fired.
+        self._c_stream_hits: Optional[Counter] = None
+        self._c_training_hits: Optional[Counter] = None
+        self._c_allocations: Optional[Counter] = None
 
     def observe_miss(self, line_address: int) -> int:
         """Record a demand miss; return the pipelining factor for it.
@@ -56,17 +61,21 @@ class StreamPrefetcher:
         if line_address < 0:
             raise ValueError("line address must be non-negative")
         # Hit on an existing stream?
-        for stream_id, state in self._streams.items():
-            expected, trained = state
-            if line_address == expected:
+        for state in self._streams.values():
+            if line_address == state[0]:
+                trained = state[1]
                 state[0] = line_address + 1
                 state[1] = trained + 1
                 # Only misses arriving after the stream was already
                 # trained were actually covered by in-flight prefetches.
                 if trained >= self.config.training_threshold:
-                    self.stats.counter("stream_hits").increment()
+                    if self._c_stream_hits is None:
+                        self._c_stream_hits = self.stats.counter("stream_hits")
+                    self._c_stream_hits.value += 1
                     return self.config.degree
-                self.stats.counter("training_hits").increment()
+                if self._c_training_hits is None:
+                    self._c_training_hits = self.stats.counter("training_hits")
+                self._c_training_hits.value += 1
                 return 1
         # Allocate a new stream (replace the oldest).
         self._streams[self._next_stream_id] = [line_address + 1, 1]
@@ -74,7 +83,9 @@ class StreamPrefetcher:
         while len(self._streams) > self.config.num_streams:
             oldest = min(self._streams)
             del self._streams[oldest]
-        self.stats.counter("stream_allocations").increment()
+        if self._c_allocations is None:
+            self._c_allocations = self.stats.counter("stream_allocations")
+        self._c_allocations.value += 1
         return 1
 
     @property

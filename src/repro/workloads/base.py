@@ -60,15 +60,5 @@ def touch_record(core: TimingCore, address: int, record_bytes: int, line_bytes: 
                  is_write: bool = False, asynchronous: bool = False) -> None:
     """Access every cache line of a record starting at ``address``."""
     lines = max(1, -(-record_bytes // line_bytes))
-    for line_index in range(lines):
-        line_address = address + line_index * line_bytes
-        if asynchronous:
-            if is_write:
-                core.write_async(line_address)
-            else:
-                core.read_async(line_address)
-        else:
-            if is_write:
-                core.write(line_address)
-            else:
-                core.read(line_address)
+    core.access_many(range(address, address + lines * line_bytes, line_bytes),
+                     is_write, asynchronous=asynchronous)

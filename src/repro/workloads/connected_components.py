@@ -16,6 +16,10 @@ from repro.cpu.core import TimingCore
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.base import Workload, WorkloadResult
 
+#: Write flags of one edge's accesses: edge, source label, destination
+#: label, then the destination-label update.
+_EDGE_WRITES = (False, False, False, True)
+
 
 @dataclass
 class ConnectedComponentsConfig:
@@ -72,10 +76,10 @@ class ConnectedComponentsWorkload(Workload):
                 src_label = label_base + src * config.label_entry_bytes
                 dst_label = label_base + dst * config.label_entry_bytes
                 core.compute(config.instructions_per_edge)
-                core.read(edge_address)          # sequential scan
-                core.read(src_label)
-                core.read(dst_label)
-                core.write(dst_label)            # propagate the smaller label
+                # Sequential edge scan, both labels, then propagate the
+                # smaller label.
+                core.access_many((edge_address, src_label, dst_label, dst_label),
+                                 _EDGE_WRITES)
                 edges_processed += 1
         return self._finish(core, edges_processed=edges_processed,
                             iterations=config.iterations)

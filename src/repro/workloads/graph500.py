@@ -19,6 +19,9 @@ from repro.cpu.core import TimingCore
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.rmat import RmatConfig, RmatGenerator
 
+#: Write flags of a first visit: edge target, visited flag, flag update.
+_VISIT_WRITES = (False, False, True)
+
 
 @dataclass
 class Graph500Config:
@@ -98,12 +101,15 @@ class Graph500Workload(Workload):
                 for edge_index in range(start, end):
                     neighbor = self._targets[edge_index]
                     core.compute(config.instructions_per_edge)
-                    core.read(targets_base + edge_index * config.edge_entry_bytes)
-                    core.read(visited_base + neighbor * config.vertex_entry_bytes)
+                    target = targets_base + edge_index * config.edge_entry_bytes
+                    flag = visited_base + neighbor * config.vertex_entry_bytes
                     edges_traversed += 1
-                    if not visited[neighbor]:
+                    if visited[neighbor]:
+                        core.access_many((target, flag))
+                    else:
+                        # Check the flag, then mark the neighbour visited.
                         visited[neighbor] = 1
-                        core.write(visited_base + neighbor * config.vertex_entry_bytes)
+                        core.access_many((target, flag, flag), _VISIT_WRITES)
                         frontier.append(neighbor)
         return self._finish(core, edges_traversed=edges_traversed,
                             vertices_visited=vertices_visited)

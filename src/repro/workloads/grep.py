@@ -57,8 +57,8 @@ class GrepWorkload(Workload):
         for record_index in range(0, config.num_records, config.stride_records):
             base = record_index * config.record_bytes
             core.compute(config.instructions_per_record)
-            for line_index in range(lines_per_record):
-                core.read(base + line_index * line_bytes)
+            core.access_many(range(base, base + lines_per_record * line_bytes,
+                                   line_bytes))
             records_scanned += 1
         return self._finish(core, records_scanned=records_scanned,
                             bytes_scanned=records_scanned * config.record_bytes)

@@ -19,6 +19,9 @@ from repro.cpu.core import TimingCore
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.base import Workload, WorkloadResult
 
+#: Write flags of one edge's accesses: edge, source rank, destination rank.
+_EDGE_WRITES = (False, False, True)
+
 
 @dataclass
 class PageRankConfig:
@@ -88,14 +91,8 @@ class PageRankWorkload(Workload):
                 if config.per_access_overhead_ns:
                     core.stall(config.per_access_overhead_ns)
                 core.compute(config.instructions_per_edge)
-                if config.asynchronous:
-                    core.read_async(edge_address)
-                    core.read_async(src_address)
-                    core.write_async(dst_address)
-                else:
-                    core.read(edge_address)
-                    core.read(src_address)
-                    core.write(dst_address)
+                core.access_many((edge_address, src_address, dst_address),
+                                 _EDGE_WRITES, asynchronous=config.asynchronous)
                 edges_processed += 1
             core.drain()
         return self._finish(core, edges_processed=edges_processed,

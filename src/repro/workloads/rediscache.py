@@ -71,6 +71,64 @@ class RedisCacheConfig:
         return self.key_space * self.record_bytes
 
 
+class WarmLru:
+    """LRU map from key to cache-memory slot, warmed with a key prefix.
+
+    Behaves exactly like an insertion-ordered dict prefilled with keys
+    ``0 .. warm-1`` (key ``k`` in slot ``capacity - 1 - k``) and used as
+    an LRU: a touched key becomes the most recently used, and a new key
+    takes a never-used slot while any is left, else the least recently
+    used key's slot.  The warm keys are not materialised: they stay
+    implicit until touched or evicted, so warm-up costs nothing however
+    large the cache is.  Untouched warm keys are always older than every
+    touched or inserted key, and are evicted in key order.
+    """
+
+    def __init__(self, capacity: int, warm: int):
+        if not 0 <= warm <= capacity:
+            raise ValueError("warm key count must be within [0, capacity]")
+        self._capacity = capacity
+        self._warm = warm
+        #: Warm keys below the cursor have left the implicit prefix.
+        self._cursor = 0
+        #: Warm keys at or above the cursor that were touched (and so
+        #: now live in ``_recent``).
+        self._moved = set()
+        #: Explicit keys -> slot, least recently used first.
+        self._recent: OrderedDict = OrderedDict()
+        self._free = list(range(capacity - warm))
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._recent or (
+            self._cursor <= key < self._warm and key not in self._moved)
+
+    def touch(self, key: int) -> int:
+        """Slot of resident ``key``, which becomes the most recently used."""
+        recent = self._recent
+        if key in recent:
+            recent.move_to_end(key)
+            return recent[key]
+        slot = recent[key] = self._capacity - 1 - key
+        self._moved.add(key)
+        return slot
+
+    def insert(self, key: int) -> int:
+        """Slot for absent ``key``: a free slot, else the LRU key's."""
+        slot = self._free.pop() if self._free else self._evict()
+        self._recent[key] = slot
+        return slot
+
+    def _evict(self) -> int:
+        while self._cursor < self._warm:
+            key = self._cursor
+            self._cursor += 1
+            if key in self._moved:
+                self._moved.discard(key)
+            else:
+                return self._capacity - 1 - key
+        return self._recent.popitem(last=False)[1]
+
+
 class RedisCacheWorkload(Workload):
     """LRU key/value cache backed by a MySQL store."""
 
@@ -87,15 +145,11 @@ class RedisCacheWorkload(Workload):
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
         line_bytes = core.hierarchy.line_bytes
+        # Pre-populate with an arbitrary prefix of the key space, as the
+        # paper measures after "proper initialization and warmup".
         capacity = config.cache_capacity_records
-        # key -> slot index in the cache memory region, LRU ordered.
-        cache: OrderedDict = OrderedDict()
-        free_slots = list(range(capacity))
-        if self.warm:
-            # Pre-populate with an arbitrary prefix of the key space, as
-            # the paper measures after "proper initialization and warmup".
-            for key in range(min(capacity, config.key_space)):
-                cache[key] = free_slots.pop()
+        cache = WarmLru(capacity,
+                        min(capacity, config.key_space) if self.warm else 0)
         hits = 0
         misses = 0
         for _ in range(config.num_queries):
@@ -104,20 +158,13 @@ class RedisCacheWorkload(Workload):
             core.compute(config.instructions_per_query)
             if key in cache:
                 hits += 1
-                cache.move_to_end(key)
-                slot = cache[key]
-                address = slot * config.record_bytes
+                address = cache.touch(key) * config.record_bytes
                 touch_record(core, address, config.record_bytes, line_bytes,
                              is_write=is_write)
             else:
                 misses += 1
                 core.stall(self.backing_store.query_latency_ns())
-                if free_slots:
-                    slot = free_slots.pop()
-                else:
-                    _, slot = cache.popitem(last=False)
-                cache[key] = slot
-                address = slot * config.record_bytes
+                address = cache.insert(key) * config.record_bytes
                 # Install the fetched record into cache memory.
                 touch_record(core, address, config.record_bytes, line_bytes,
                              is_write=True)

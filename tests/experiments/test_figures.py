@@ -6,6 +6,9 @@ sign of effects), which is the reproduction target.  Full-size runs live
 in ``benchmarks/``.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.common import ExperimentPlatform
@@ -72,8 +75,13 @@ def test_fig05_architectural_support_ordering(fig05_report):
         pytest.approx(fig05_report.series["berkeleydb"]["on_chip_qpair"], rel=0.02)
 
 
-def test_fig06_router_overhead_shape(fig05_config):
-    report = run_fig06(fig05_config)
+@pytest.fixture(scope="module")
+def fig06_report(fig05_config):
+    return run_fig06(fig05_config)
+
+
+def test_fig06_router_overhead_shape(fig06_report):
+    report = fig06_report
     for workload in ("pagerank", "berkeleydb"):
         overheads = report.series[workload]
         assert all(value > 0 for value in overheads.values())
@@ -122,9 +130,14 @@ def test_fig15_remote_memory_shape():
     assert all_local["inmem_db"] > 20.0
 
 
-def test_fig16a_accelerator_scaling():
-    report = run_fig16a(Fig16Config(small_dataset_bytes=4 * MB,
-                                    large_dataset_bytes=16 * MB))
+@pytest.fixture(scope="module")
+def fig16a_report():
+    return run_fig16a(Fig16Config(small_dataset_bytes=4 * MB,
+                                  large_dataset_bytes=16 * MB))
+
+
+def test_fig16a_accelerator_scaling(fig16a_report):
+    report = fig16a_report
     # Series labels follow the configured dataset sizes.
     for series_name in ("speedup_4MB", "speedup_16MB"):
         speedups = list(report.series[series_name].values())
@@ -187,3 +200,30 @@ def test_reports_render_to_text(fig03_report, fig05_report, fig17_report):
         text = report.to_text()
         assert report.figure_id in text
         assert "paper" in text
+
+
+#: sha256 of each report's full-precision canonical JSON at the sizes
+#: above.  The analytic memory-hierarchy figures must stay byte-identical
+#: through refactors of the access path; a deliberate model change
+#: updates these together with the reason.
+PINNED_REPORT_DIGESTS = {
+    "fig03": "9b4b6168065718b74d56cc405cbbf91588506b6bc28e948dd60c1465e0b9afae",
+    "fig05": "9c4d0f377e4bb1980d52399329399d17a1cb9088ea3721c846d12b44ae537336",
+    "fig06": "1b996b7bb4ffd62fa2b6bc732840ad07c9c9c0550c54ce749c51e2ee42eaad70",
+    "fig16a": "cc97074505643746d2a11bcf6703dcb160694198f6cce611e76bbc78bc4f2c00",
+    "fig17": "ee0a2ccc4585af032d2425a9b0abe4bb0939a4a05fd70cf689a7caf54c160230",
+}
+
+
+def report_digest(report) -> str:
+    canonical = json.dumps({"figure_id": report.figure_id,
+                            "series": report.series,
+                            "paper_reference": report.paper_reference},
+                           sort_keys=True, allow_nan=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_REPORT_DIGESTS))
+def test_report_matches_pinned_digest(figure, request):
+    report = request.getfixturevalue(f"{figure}_report")
+    assert report_digest(report) == PINNED_REPORT_DIGESTS[figure]

@@ -155,3 +155,54 @@ def test_invalid_hot_operations_raise():
     foreign = MemoryRegion(start=0, size=10, kind=RegionKind.REMOTE_MAPPED)
     with pytest.raises(MemoryMapError):
         memory_map.hot_unplug(foreign)
+
+
+# ----------------------------------------------------------------------
+# Map version: derived queries are cached per version
+# ----------------------------------------------------------------------
+def test_every_mutator_bumps_the_version():
+    memory_map = PhysicalMemoryMap(1 * GB)
+    assert memory_map.version == 0
+    donated = memory_map.hot_remove(256 * MB, recipient_node=1)
+    assert memory_map.version == 1
+    memory_map.hot_add_back(donated)
+    assert memory_map.version == 2
+    borrowed = memory_map.hot_plug_remote(512 * MB, donor_node=2, donor_base=0)
+    assert memory_map.version == 3
+    memory_map.hot_unplug(borrowed)
+    assert memory_map.version == 4
+
+
+def test_failed_mutations_and_queries_leave_the_version_alone():
+    memory_map = PhysicalMemoryMap(1 * GB)
+    with pytest.raises(MemoryMapError):
+        memory_map.hot_remove(2 * GB, recipient_node=1)
+    with pytest.raises(MemoryMapError):
+        memory_map.hot_unplug(MemoryRegion(start=0, size=10,
+                                           kind=RegionKind.REMOTE_MAPPED))
+    memory_map.lookup(5)
+    memory_map.visible_capacity()
+    memory_map.highest_address()
+    assert memory_map.version == 0
+
+
+def test_cached_queries_follow_every_mutation():
+    memory_map = PhysicalMemoryMap(1 * GB, node_id=4)
+    assert (memory_map.visible_capacity(), memory_map.highest_address()) == (1 * GB, 1 * GB)
+    first = memory_map.hot_plug_remote(256 * MB, donor_node=1, donor_base=0)
+    second = memory_map.hot_plug_remote(256 * MB, donor_node=2, donor_base=0)
+    assert memory_map.highest_address() == second.end
+    assert memory_map.lookup(first.start + 7) is first
+    memory_map.hot_unplug(first)
+    # The unplugged range is now a hole below the remaining remote region.
+    with pytest.raises(MemoryMapError, match="not mapped on node 4"):
+        memory_map.lookup(first.start + 7)
+    assert memory_map.lookup(second.start) is second
+    assert memory_map.visible_capacity() == 1 * GB + 256 * MB
+    donated = memory_map.hot_remove(128 * MB, recipient_node=3)
+    with pytest.raises(MemoryMapError):
+        memory_map.lookup(donated.start)
+    assert memory_map.visible_capacity() == 1 * GB + 128 * MB
+    memory_map.hot_add_back(donated)
+    assert memory_map.lookup(donated.start) is donated
+    assert memory_map.lookup(donated.start).kind == RegionKind.LOCAL

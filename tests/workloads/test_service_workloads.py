@@ -1,5 +1,7 @@
 """Unit tests for the Redis-cache service, FFT offload and iPerf workloads."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.accel.device import FftAccelerator
@@ -12,10 +14,12 @@ from repro.core.sharing.remote_accelerator import LocalAcceleratorTarget
 from repro.nic.nic import Nic, NicConfig
 from repro.workloads.fft_offload import FftOffloadConfig, FftOffloadWorkload
 from repro.workloads.iperf import IperfConfig, IperfWorkload
+from repro.sim.rng import DeterministicRNG
 from repro.workloads.rediscache import (
     MysqlBackingStore,
     RedisCacheConfig,
     RedisCacheWorkload,
+    WarmLru,
 )
 
 MB = 1024 * 1024
@@ -58,6 +62,34 @@ def test_rediscache_cold_cache_misses_more():
     warm = RedisCacheWorkload(config, warm=True).run(make_core())
     cold = RedisCacheWorkload(config, warm=False).run(make_core())
     assert cold.metric("miss_rate") > warm.metric("miss_rate")
+
+
+@pytest.mark.parametrize("capacity, warm, key_space", [
+    (50, 50, 400), (50, 20, 400), (50, 0, 400), (64, 64, 64), (30, 30, 31),
+])
+def test_warm_lru_matches_a_prefilled_ordered_dict(capacity, warm, key_space):
+    rng = DeterministicRNG(capacity + warm)
+    lru = WarmLru(capacity, warm)
+    # Reference: the LRU prefilled eagerly, key k in slot capacity-1-k.
+    free = list(range(capacity))
+    reference = OrderedDict((key, free.pop()) for key in range(warm))
+    for _ in range(3_000):
+        key = rng.uniform_int(0, key_space - 1)
+        assert (key in lru) == (key in reference)
+        if key in reference:
+            reference.move_to_end(key)
+            assert lru.touch(key) == reference[key]
+        else:
+            slot = free.pop() if free else reference.popitem(last=False)[1]
+            reference[key] = slot
+            assert lru.insert(key) == slot
+    assert all(key in lru for key in reference)
+    assert sum(key in lru for key in range(key_space)) == len(reference)
+
+
+def test_warm_lru_rejects_more_warm_keys_than_slots():
+    with pytest.raises(ValueError):
+        WarmLru(10, 11)
 
 
 def test_rediscache_validation():
