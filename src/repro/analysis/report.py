@@ -8,6 +8,8 @@ paper-versus-measured side by side.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -55,6 +57,18 @@ class FigureReport:
 
     def value(self, series_name: str, label: str) -> float:
         return self.series[series_name][label]
+
+    def digest(self) -> str:
+        """sha256 of the id, series and paper references at full precision.
+
+        The canonical form is sorted-key JSON, so two reports share a
+        digest exactly when every measured and reference value is equal.
+        """
+        canonical = json.dumps({"figure_id": self.figure_id,
+                                "series": self.series,
+                                "paper_reference": self.paper_reference},
+                               sort_keys=True, allow_nan=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     def to_text(self) -> str:
         """Human-readable report: one block per series."""

@@ -19,7 +19,7 @@ Two classes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.address import AddressMappingError, RemoteAddressMappingTable, TransportTlb
 from repro.core.channels.backend import (
@@ -38,6 +38,17 @@ from repro.sim.stats import StatsRegistry
 #: Payload bytes of a CRMA read request / write acknowledgement packet
 #: (address + metadata; the fabric adds its own header).
 _REQUEST_PAYLOAD_BYTES = 8
+
+
+def _closed_form_only(backend: TransportBackend) -> bool:
+    """True when an op's latency is a constant per size.
+
+    That holds for the library's closed-form backend (not a subclass,
+    which may add side effects) over a path with no shared latency
+    cache attached.
+    """
+    return (type(backend) is ClosedFormBackend
+            and getattr(backend.path, "cache", None) is None)
 
 
 class CrmaChannel:
@@ -59,6 +70,10 @@ class CrmaChannel:
         self.tlb = TransportTlb(capacity=self.config.tltlb_entries)
         # (ops, bytes) counter pairs, bound on first use.
         self._c_reads = self._c_writes = None
+        # Size -> (read_ns, write_ns) on the plain closed forms, None
+        # when every op must reach the backend (see fixed_latencies_ns).
+        self._fixed: Optional[Dict[int, Tuple[int, int]]] = (
+            {} if _closed_form_only(self.backend) else None)  # simlint: disable=SIM006 -- one entry per op size, not per op
 
     # ------------------------------------------------------------------
     # Mapping management (set up by the sharing layer / runtime)
@@ -97,9 +112,15 @@ class CrmaChannel:
         if size_bytes <= 0:
             raise ValueError("read size must be positive")
         self._count_read(size_bytes)
+        fixed = self.fixed_latencies_ns(size_bytes)
+        if fixed is not None:
+            return fixed[0]
+        return self._read_ns(size_bytes)
+
+    def _read_ns(self, size_bytes: int) -> int:
         transport = self.backend.round_trip_ns(
             _REQUEST_PAYLOAD_BYTES, size_bytes,
-            server_ns=self.donor_dram.access_latency_ns(size_bytes),
+            server_ns=self.donor_dram.fill_latency_ns(size_bytes),
             request_kind=PacketKind.CRMA_READ,
             response_kind=PacketKind.CRMA_READ_RESP)
         return (self.config.request_processing_ns
@@ -107,12 +128,34 @@ class CrmaChannel:
                 + self.config.response_processing_ns)
 
     def _count_read(self, size_bytes: int) -> None:
+        """Count one fill of ``size_bytes`` here and at the donor DRAM."""
         if self._c_reads is None:
             self._c_reads = (self.stats.counter("reads"),
                              self.stats.counter("read_bytes"))
         reads, read_bytes = self._c_reads
         reads.value += 1
         read_bytes.value += size_bytes
+        accesses, dram_bytes = self.donor_dram.access_counters()
+        accesses.value += 1
+        dram_bytes.value += size_bytes
+
+    def fixed_latencies_ns(self, size_bytes: int) -> Optional[Tuple[int, int]]:
+        """``(read_ns, write_ns)`` of ``size_bytes`` ops when they are constants.
+
+        They are on the plain closed-form backend over a path with no
+        shared latency cache: each size is computed once, and every op
+        still updates the per-op counters.  Any other backend returns
+        None here and is asked on every op: event backends send packets,
+        and a cached path counts a cache lookup per query.
+        """
+        fixed = self._fixed
+        if fixed is None:
+            return None
+        latencies = fixed.get(size_bytes)
+        if latencies is None:
+            latencies = fixed[size_bytes] = (self._read_ns(size_bytes),
+                                             self._write_ns(size_bytes))
+        return latencies
 
     def submit_read(self, size_bytes: int,
                     deadline_ns: Optional[int] = None) -> PendingOp:
@@ -137,7 +180,7 @@ class CrmaChannel:
                 "the event transport backend")
         self._count_read(size_bytes)
         op = submit(_REQUEST_PAYLOAD_BYTES, size_bytes,
-                    server_ns=self.donor_dram.access_latency_ns(size_bytes),
+                    server_ns=self.donor_dram.fill_latency_ns(size_bytes),
                     request_kind=PacketKind.CRMA_READ,
                     response_kind=PacketKind.CRMA_READ_RESP,
                     deadline_ns=deadline_ns)
@@ -155,6 +198,12 @@ class CrmaChannel:
         writes, write_bytes = self._c_writes
         writes.value += 1
         write_bytes.value += size_bytes
+        fixed = self.fixed_latencies_ns(size_bytes)
+        if fixed is not None:
+            return fixed[1]
+        return self._write_ns(size_bytes)
+
+    def _write_ns(self, size_bytes: int) -> int:
         # The store retires when the packet has been accepted by the
         # channel: RAMT lookup + packetisation + link serialization.
         return (self.config.request_processing_ns

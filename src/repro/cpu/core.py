@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from itertools import islice, repeat
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.cpu.hierarchy import DRAM, MemoryHierarchy
 from repro.sim.stats import Counter, StatsRegistry
@@ -34,6 +35,11 @@ from repro.sim.stats import Counter, StatsRegistry
 #: like :data:`repro.cpu.hierarchy.SOURCES`; DRAM fills are counted only
 #: in ``accesses``).
 _SOURCE_COUNTERS = ("cache_hits", None, "remote_accesses", "swap_accesses")
+
+#: Items :meth:`TimingCore.execute` takes from a stream per hierarchy
+#: batch: large enough to amortise the per-batch set-up, small enough
+#: that a whole-run stream never sits in memory.
+STREAM_CHUNK = 512
 
 
 @dataclass
@@ -143,11 +149,11 @@ class TimingCore:
 
     def read(self, address: int) -> int:
         """Blocking load; returns the access latency in ns."""
-        return self.access_many((address,), False)[0]
+        return self._batch(None, (address,), False, False, 0)[0]
 
     def write(self, address: int) -> int:
         """Blocking store; returns the access latency in ns."""
-        return self.access_many((address,), True)[0]
+        return self._batch(None, (address,), True, False, 0)[0]
 
     def read_async(self, address: int) -> int:
         """Non-blocking load used by latency-tolerant code.
@@ -156,11 +162,11 @@ class TimingCore:
         window is full the core first stalls until the oldest operation
         completes.  Returns the latency of the individual access.
         """
-        return self.access_many((address,), False, asynchronous=True)[0]
+        return self._batch(None, (address,), False, True, 0)[0]
 
     def write_async(self, address: int) -> int:
         """Non-blocking store (posted write)."""
-        return self.access_many((address,), True, asynchronous=True)[0]
+        return self._batch(None, (address,), True, True, 0)[0]
 
     def access_many(self, addresses: Iterable[int],
                     writes: Union[bool, Iterable[bool]] = False,
@@ -176,13 +182,74 @@ class TimingCore:
         propagates before the clock or the counters take any of the
         batch.
         """
+        return self._batch(None, addresses, writes, asynchronous, 0)
+
+    def execute(self, stream: Iterable[tuple], asynchronous: bool = False,
+                stall_ns: float = 0) -> None:
+        """Run an interleaved compute/access stream.
+
+        ``stream`` yields ``(instructions, address, is_write)`` per
+        access.  Each item is equivalent to ``stall(stall_ns)`` and
+        ``compute(instructions)`` -- both skipped when ``instructions``
+        is None -- followed by ``read``/``write`` of ``address`` (their
+        ``_async`` forms when ``asynchronous``), so clocks and counters
+        are bit-identical to those calls made one by one.
+
+        The stream is consumed lazily, :data:`STREAM_CHUNK` items at a
+        time, so a whole run never sits in memory.  If the stream or an
+        access raises, every earlier chunk has been applied in full; the
+        raising chunk's stalls, compute and latencies are not applied to
+        the core (the hierarchy has applied that chunk's accesses before
+        the failing one), and the exception propagates.
+        """
+        if stall_ns < 0:
+            raise ValueError("stall time must be non-negative")
+        items = iter(stream)
+        while True:
+            chunk = list(islice(items, STREAM_CHUNK))
+            if not chunk:
+                return
+            instructions, addresses, writes = zip(*chunk)
+            self._batch(instructions, addresses, writes, asynchronous, stall_ns)
+
+    def _batch(self, instructions: Optional[Sequence[Optional[float]]],
+               addresses: Iterable[int], writes: Union[bool, Iterable[bool]],
+               asynchronous: bool, stall_ns: float) -> List[int]:
+        """The one access loop behind every entry point.
+
+        ``instructions`` is None (no compute anywhere) or the per-access
+        instruction counts, None for an access with no compute before
+        it.  Nothing is applied to the core until the hierarchy has
+        served the whole batch.
+        """
+        elapsed_of = {}
+        if instructions is not None:
+            config = self.config
+            for count in set(instructions):
+                if count is not None:
+                    if count < 0:
+                        raise ValueError("instruction count must be non-negative")
+                    elapsed_of[count] = config.cycles_to_ns(
+                        count * config.cycles_per_instruction)
         latencies, served = self.hierarchy.access_many(addresses, writes)
+        if not served:
+            return latencies
         now = self._now
+        compute_ns = self._compute_ns
         memory_ns = self._memory_ns
+        stall_total = self._stall_ns
+        before = repeat(None) if instructions is None else instructions
         if asynchronous:
             outstanding = self._outstanding
             window = self.config.max_outstanding
-            for latency in latencies:
+            for count, latency in zip(before, latencies):
+                if count is not None:
+                    if stall_ns:
+                        now += stall_ns
+                        stall_total += stall_ns
+                    elapsed = elapsed_of[count]
+                    now += elapsed
+                    compute_ns += elapsed
                 if len(outstanding) >= window:
                     oldest = heapq.heappop(outstanding)
                     if oldest > now:
@@ -190,24 +257,50 @@ class TimingCore:
                         now = oldest
                 heapq.heappush(outstanding, now + latency)
         else:
-            for latency in latencies:
+            for count, latency in zip(before, latencies):
+                if count is not None:
+                    if stall_ns:
+                        now += stall_ns
+                        stall_total += stall_ns
+                    elapsed = elapsed_of[count]
+                    now += elapsed
+                    compute_ns += elapsed
                 now += latency
                 memory_ns += latency
         self._now = now
+        self._compute_ns = compute_ns
         self._memory_ns = memory_ns
-        if served:
-            if self._c_accesses is None:
-                self._c_accesses = self.stats.counter("accesses")
-            self._c_accesses.value += len(served)
-            counters = self._c_sources
-            for source in served:
-                if source != DRAM:
-                    counter = counters[source]
-                    if counter is None:
-                        counter = counters[source] = self.stats.counter(
-                            _SOURCE_COUNTERS[source])
-                    counter.value += 1
+        self._stall_ns = stall_total
+        self._count(instructions, elapsed_of, served)
         return latencies
+
+    def _count(self, instructions, elapsed_of, served: List[int]) -> None:
+        """Fold one batch into the core's counters.
+
+        Counters are created on first use, in the order the equivalent
+        one-at-a-time calls would create them; only a batch that fires
+        one for the first time walks its accesses to find that order.
+        """
+        counters = self._c_sources
+        sources = set(served)
+        sources.discard(DRAM)
+        if (self._c_accesses is None
+                or (elapsed_of and self._c_instructions is None)
+                or any(counters[source] is None for source in sources)):
+            before = repeat(None) if instructions is None else instructions
+            for count, source in zip(before, served):
+                if count is not None and self._c_instructions is None:
+                    self._c_instructions = self.stats.counter("instructions")
+                if self._c_accesses is None:
+                    self._c_accesses = self.stats.counter("accesses")
+                if source != DRAM and counters[source] is None:
+                    counters[source] = self.stats.counter(_SOURCE_COUNTERS[source])
+        if elapsed_of:
+            self._c_instructions.value += sum(
+                int(count) * instructions.count(count) for count in elapsed_of)
+        self._c_accesses.value += len(served)
+        for source in sources:
+            counters[source].value += served.count(source)
 
     def drain(self) -> None:
         """Wait for every outstanding asynchronous operation."""

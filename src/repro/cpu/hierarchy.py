@@ -126,12 +126,22 @@ class MemoryHierarchy:
 
         ``writes`` is one flag for every access or a sequence of
         per-access flags.  ``latencies[i]`` is the latency of access ``i``
-        and ``SOURCES[served[i]]`` the level that served it; every side
-        effect (cache, prefetcher, swap, backend, counters) happens in
-        access order, exactly as for the same accesses made one at a
-        time.  If an access raises, the accesses before it have been
-        applied and the exception propagates.
+        and ``SOURCES[served[i]]`` the level that served it.  The cache
+        looks up the whole batch first (nothing else touches it while
+        the misses are served); every other side effect (prefetcher,
+        swap, backend, counters) then happens in access order, exactly
+        as for the same accesses made one at a time.  If serving a miss
+        raises, the cache holds the whole batch, the accesses before the
+        failing one have been served and counted, and the exception
+        propagates.
         """
+        if addresses.__class__ not in (list, tuple, range):
+            addresses = list(addresses)
+        uniform = writes.__class__ is bool
+        if not uniform and writes.__class__ not in (list, tuple):
+            writes = list(writes)
+        outcomes = self.cache.lookup_many(addresses, writes)
+
         line, hit_ns, miss_ns, dram_ns = self._line, self._hit_ns, self._miss_ns, self._dram_ns
         backend = self.remote_backend
         swap = self.swap
@@ -141,21 +151,27 @@ class MemoryHierarchy:
         memory_map = self.memory_map
         bounds, kinds, version = self._fill_table()
 
-        latencies: List[int] = []
-        served: List[int] = []
+        # Hits need nothing beyond the cache: start every access as a
+        # hit and serve the misses in order.
+        count = len(outcomes)
+        latencies: List[int] = [hit_ns] * count
+        served: List[int] = [CACHE] * count
+        misses = [index for index, victim in enumerate(outcomes) if victim != HIT]
+        # cache_hits is created at the first hit: ahead of a fill counter
+        # only when that hit comes before the fill's miss.
+        first_hit = (outcomes.index(HIT)
+                     if c_hits is None and len(misses) < count else count)
         # DRAM line accesses (fills, writebacks, prefetch floors) are
         # counted here and folded into the DRAM's counters on the way out.
         dram_lines = 0
+        index = misses_served = 0
         try:
-            for victim, address, is_write in self.cache.stream(addresses, writes):
-                if victim == HIT:
-                    if c_hits is None:
-                        c_hits = self._c_hits = stats.counter("cache_hits")
-                    c_hits.value += 1
-                    latencies.append(hit_ns)
-                    served.append(CACHE)
-                    continue
-
+            for index in misses:
+                if index > first_hit and c_hits is None:
+                    c_hits = self._c_hits = stats.counter("cache_hits")
+                victim = outcomes[index]
+                address = addresses[index]
+                is_write = writes if uniform else writes[index]
                 if memory_map.version != version:
                     bounds, kinds, version = self._fill_table()
                 latency = miss_ns
@@ -197,13 +213,21 @@ class MemoryHierarchy:
                             c_covered = self._c_covered = stats.counter(
                                 "prefetch_covered_fills")
                         c_covered.value += 1
-                latencies.append(latency + fill_ns)
-                served.append(kind)
+                latencies[index] = latency + fill_ns
+                served[index] = kind
                 counter = c_fills[kind]
                 if counter is None:
                     counter = c_fills[kind] = stats.counter("fills_" + SOURCES[kind])
                 counter.value += 1
+                misses_served += 1
+            index = count
         finally:
+            # The accesses before ``index`` were served; count their hits.
+            hits = index - misses_served
+            if hits:
+                if c_hits is None:
+                    c_hits = self._c_hits = stats.counter("cache_hits")
+                c_hits.value += hits
             if dram_lines:
                 accesses, nbytes = self.dram.access_counters()
                 accesses.value += dram_lines

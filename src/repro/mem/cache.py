@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.sim.stats import StatsRegistry
 
@@ -52,7 +52,7 @@ class AccessResult:
     line_address: int = 0
 
 
-#: What :meth:`Cache.stream` yields for an access that hit.
+#: The :meth:`Cache.lookup_many` outcome of an access that hit.
 HIT = -1
 
 
@@ -77,7 +77,7 @@ class Cache:
 
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Look up ``address``; allocate on miss, returning any writeback."""
-        ((victim, _, _),) = self.stream((address,), (is_write,))
+        (victim,) = self.lookup_many((address,), (is_write,))
         line_address = address // self.config.line_bytes
         if victim == HIT:
             return AccessResult(hit=True, latency_ns=self.config.hit_latency_ns,
@@ -87,62 +87,76 @@ class Cache:
                             + self.config.miss_penalty_ns,
                             writeback_address=victim, line_address=line_address)
 
-    def stream(self, addresses: Iterable[int],
-               writes: Union[bool, Iterable[bool]] = False) -> Iterator[tuple]:
+    def lookup_many(self, addresses: Sequence[int],
+                    writes: Union[bool, Iterable[bool]] = False) -> List[Optional[int]]:
         """Look up ``addresses`` in order, allocating on every miss.
 
         ``writes`` is one flag for every access or per-access flags.
-        Yields ``(outcome, address, is_write)`` per access, where
-        ``outcome`` is :data:`HIT`, None for a miss that evicted no dirty
-        line, or the address of the evicted dirty line that must be
-        written back.  Each access is applied only when the caller asks
-        for its result.
+        Returns one outcome per access: :data:`HIT`, None for a miss that
+        evicted no dirty line, or the address of the evicted dirty line
+        that must be written back.  A negative address anywhere in the
+        batch raises before any access is applied.
         """
+        if addresses and min(addresses) < 0:
+            raise ValueError(f"negative address: {min(addresses)}")
         line_bytes, num_sets, ways = self._geometry
         sets = self._sets
         stats = self.stats
         c_reads, c_writes = self._c_reads, self._c_writes
-        c_hits, c_misses = self._c_hits, self._c_misses
+        c_hits, c_misses, c_writebacks = self._c_hits, self._c_misses, self._c_writebacks
         flags = repeat(writes) if writes.__class__ is bool else writes
+        outcomes: List[Optional[int]] = []
+        append = outcomes.append
+        # Tallies folded into the counters at the end; each counter is
+        # still created at its first event, in event order.
+        reads = stores = hits = evictions = 0
         for address, is_write in zip(addresses, flags):
-            if address < 0:
-                raise ValueError(f"negative address: {address}")
             line_address = address // line_bytes
             tag = line_address // num_sets
             cache_set = sets[line_address % num_sets]
             if is_write:
+                stores += 1
                 if c_writes is None:
                     c_writes = self._c_writes = stats.counter("writes")
-                c_writes.value += 1
             else:
+                reads += 1
                 if c_reads is None:
                     c_reads = self._c_reads = stats.counter("reads")
-                c_reads.value += 1
 
             if tag in cache_set:
                 cache_set.move_to_end(tag)
                 if is_write:
                     cache_set[tag] = True
+                hits += 1
                 if c_hits is None:
                     c_hits = self._c_hits = stats.counter("hits")
-                c_hits.value += 1
-                yield HIT, address, is_write
+                append(HIT)
                 continue
 
             if c_misses is None:
                 c_misses = self._c_misses = stats.counter("misses")
-            c_misses.value += 1
             victim = None
             if len(cache_set) >= ways:
                 victim_tag, victim_dirty = cache_set.popitem(last=False)
                 if victim_dirty:
                     victim = ((victim_tag * num_sets + line_address % num_sets)
                               * line_bytes)
-                    if self._c_writebacks is None:
-                        self._c_writebacks = stats.counter("writebacks")
-                    self._c_writebacks.value += 1
+                    evictions += 1
+                    if c_writebacks is None:
+                        c_writebacks = self._c_writebacks = stats.counter("writebacks")
             cache_set[tag] = is_write
-            yield victim, address, is_write
+            append(victim)
+        if reads:
+            c_reads.value += reads
+        if stores:
+            c_writes.value += stores
+        if hits:
+            c_hits.value += hits
+        if len(outcomes) > hits:
+            c_misses.value += len(outcomes) - hits
+        if evictions:
+            c_writebacks.value += evictions
+        return outcomes
 
     def invalidate_range(self, start: int, size: int) -> int:
         """Invalidate all lines overlapping ``[start, start+size)``.

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 #: Default page size (4 KiB, as on the prototype's Linux kernel).
 PAGE_BYTES = 4096
@@ -122,6 +122,14 @@ class SwapManager:
         # readahead cluster, used to detect sequential fault streams.
         self._last_faulted_page: Optional[int] = None
         self._readahead_frontier: Optional[int] = None
+        # Counter handles, bound on first use (None until then) so the
+        # registry only ever holds counters that have fired.
+        self._c_accesses: Optional[Counter] = None
+        self._c_resident_hits: Optional[Counter] = None
+        self._c_faults: Optional[Counter] = None
+        self._c_writebacks: Optional[Counter] = None
+        self._c_pages_in: Optional[Counter] = None
+        self._c_readahead: Optional[Counter] = None
 
     def page_of(self, address: int) -> int:
         """Page identifier containing ``address``."""
@@ -153,17 +161,25 @@ class SwapManager:
         victim is evicted (with a device write if dirty), the demanded
         page is fetched, and the total stall time is returned.
         """
-        self.stats.counter("accesses").increment()
+        if self._c_accesses is None:
+            self._c_accesses = self.stats.counter("accesses")
+        self._c_accesses.value += 1
         page_id = self.page_of(address)
-        if page_id in self._resident:
-            self._resident.move_to_end(page_id)
+        resident = self._resident
+        if page_id in resident:
+            resident.move_to_end(page_id)
             if is_write:
-                self._resident[page_id] = True
-            self.stats.counter("resident_hits").increment()
+                resident[page_id] = True
+            if self._c_resident_hits is None:
+                self._c_resident_hits = self.stats.counter("resident_hits")
+            self._c_resident_hits.value += 1
             return 0
 
-        self.stats.counter("faults").increment()
-        latency = self.config.fault_overhead_ns
+        if self._c_faults is None:
+            self._c_faults = self.stats.counter("faults")
+        self._c_faults.value += 1
+        config = self.config
+        latency = config.fault_overhead_ns
 
         # Sequential faults trigger readahead: the demanded page and the
         # following pages of the cluster are brought in with one larger
@@ -178,22 +194,25 @@ class SwapManager:
                 and page_id == self._readahead_frontier)
         )
         self._last_faulted_page = page_id
-        cluster = self.config.readahead_pages if sequential else 1
-        cluster = min(cluster, self.config.resident_frames)
+        cluster = config.readahead_pages if sequential else 1
+        cluster = min(cluster, config.resident_frames)
         self._readahead_frontier = page_id + cluster
 
         writeback_ns = 0
-        evictions_needed = max(0, len(self._resident) + cluster
-                               - self.config.resident_frames)
+        evictions_needed = max(0, len(resident) + cluster - config.resident_frames)
         for _ in range(evictions_needed):
-            victim_page, victim_dirty = self._resident.popitem(last=False)
+            victim_page, victim_dirty = resident.popitem(last=False)
             if victim_dirty:
-                writeback_ns += self.device.write_page_latency_ns(self.config.page_bytes)
-                self.stats.counter("writebacks").increment()
-        fetch_ns = self.device.read_cluster_latency_ns(self.config.page_bytes, cluster)
-        self.stats.counter("pages_in").increment(cluster)
+                writeback_ns += self.device.write_page_latency_ns(config.page_bytes)
+                self._count_writeback()
+        fetch_ns = self.device.read_cluster_latency_ns(config.page_bytes, cluster)
+        if self._c_pages_in is None:
+            self._c_pages_in = self.stats.counter("pages_in")
+        self._c_pages_in.value += cluster
         if cluster > 1:
-            self.stats.counter("readahead_clusters").increment()
+            if self._c_readahead is None:
+                self._c_readahead = self.stats.counter("readahead_clusters")
+            self._c_readahead.value += 1
         if writeback_ns and self.device.supports_write_overlap():
             latency += max(fetch_ns, writeback_ns)
         else:
@@ -202,11 +221,17 @@ class SwapManager:
         # the demanded page outlives them under pressure.
         for ahead in range(cluster - 1, 0, -1):
             ahead_page = page_id + ahead
-            if ahead_page not in self._resident:
-                self._resident[ahead_page] = False
-        self._resident[page_id] = is_write
-        self._resident.move_to_end(page_id)
+            if ahead_page not in resident:
+                resident[ahead_page] = False
+        resident[page_id] = is_write
+        resident.move_to_end(page_id)
         return latency
+
+    def _count_writeback(self) -> None:
+        if self._c_writebacks is None:
+            self._c_writebacks = self.stats.counter("writebacks")
+        self._c_writebacks.value += 1
+
 
     def prefault(self, pages: int) -> None:
         """Mark the first ``pages`` pages resident (warm-up helper)."""
@@ -220,5 +245,5 @@ class SwapManager:
             if dirty:
                 total += self.device.write_page_latency_ns(self.config.page_bytes)
                 self._resident[page_id] = False
-                self.stats.counter("writebacks").increment()
+                self._count_writeback()
         return total

@@ -35,7 +35,14 @@ class WorkloadResult:
 
 
 class Workload:
-    """Base class for all workload generators."""
+    """Base class for all workload generators.
+
+    ``run`` is repeatable: a workload draws from an RNG seeded afresh
+    for every run, so one instance can run on several cores with the
+    same accesses.  The key/value, PageRank, CC, Grep and Graph500
+    workloads send each run (or each iteration) as
+    :meth:`TimingCore.execute` streams.
+    """
 
     name = "workload"
 
@@ -56,9 +63,15 @@ def record_address(index: int, record_bytes: int) -> int:
     return index * record_bytes
 
 
+def record_lines(record_bytes: int, line_bytes: int) -> range:
+    """Offsets of the cache lines a record spans from its first byte."""
+    lines = max(1, -(-record_bytes // line_bytes))
+    return range(0, lines * line_bytes, line_bytes)
+
+
 def touch_record(core: TimingCore, address: int, record_bytes: int, line_bytes: int,
                  is_write: bool = False, asynchronous: bool = False) -> None:
     """Access every cache line of a record starting at ``address``."""
-    lines = max(1, -(-record_bytes // line_bytes))
-    core.access_many(range(address, address + lines * line_bytes, line_bytes),
-                     is_write, asynchronous=asynchronous)
+    end = address + record_lines(record_bytes, line_bytes).stop
+    core.access_many(range(address, end, line_bytes), is_write,
+                     asynchronous=asynchronous)

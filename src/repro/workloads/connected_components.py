@@ -11,15 +11,11 @@ sequential edge-list scan, this workload favours bulk transfers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cpu.core import TimingCore
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.base import Workload, WorkloadResult
-
-#: Write flags of one edge's accesses: edge, source label, destination
-#: label, then the destination-label update.
-_EDGE_WRITES = (False, False, False, True)
-
 
 @dataclass
 class ConnectedComponentsConfig:
@@ -67,19 +63,21 @@ class ConnectedComponentsWorkload(Workload):
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
-        edge_base = 0
-        label_base = config.edge_array_bytes
-        edges_processed = 0
         for _ in range(config.iterations):
-            for edge_index, (src, dst) in enumerate(self._edges):
-                edge_address = edge_base + edge_index * config.edge_entry_bytes
-                src_label = label_base + src * config.label_entry_bytes
-                dst_label = label_base + dst * config.label_entry_bytes
-                core.compute(config.instructions_per_edge)
-                # Sequential edge scan, both labels, then propagate the
-                # smaller label.
-                core.access_many((edge_address, src_label, dst_label, dst_label),
-                                 _EDGE_WRITES)
-                edges_processed += 1
-        return self._finish(core, edges_processed=edges_processed,
+            core.execute(self._iteration())
+        return self._finish(core, edges_processed=config.iterations * len(self._edges),
                             iterations=config.iterations)
+
+    def _iteration(self) -> Iterator[tuple]:
+        """One label-propagation pass: per edge, compute, the sequential
+        edge read, both labels, then the smaller label written back."""
+        config = self.config
+        instructions = config.instructions_per_edge
+        edge_bytes, label_bytes = config.edge_entry_bytes, config.label_entry_bytes
+        label_base = config.edge_array_bytes
+        for edge_index, (src, dst) in enumerate(self._edges):
+            dst_label = label_base + dst * label_bytes
+            yield instructions, edge_index * edge_bytes, False
+            yield None, label_base + src * label_bytes, False
+            yield None, dst_label, False
+            yield None, dst_label, True

@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from repro.cpu.core import TimingCore
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.rmat import RmatConfig, RmatGenerator
-
-#: Write flags of a first visit: edge target, visited flag, flag update.
-_VISIT_WRITES = (False, False, True)
-
 
 @dataclass
 class Graph500Config:
@@ -83,33 +79,41 @@ class Graph500Workload(Workload):
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
-        offsets_base = 0
-        targets_base = config.num_vertices * config.vertex_entry_bytes
-        visited_base = targets_base + len(self._targets) * config.edge_entry_bytes
-        edges_traversed = 0
-        vertices_visited = 0
+        tally = [0, 0]  # vertices visited, edges traversed
         for root_index in range(config.num_roots):
-            root = (root_index * 7919) % config.num_vertices
-            visited = bytearray(config.num_vertices)
-            frontier = deque([root])
-            visited[root] = 1
-            while frontier:
-                vertex = frontier.popleft()
-                vertices_visited += 1
-                core.read(offsets_base + vertex * config.vertex_entry_bytes)
-                start, end = self._offsets[vertex], self._offsets[vertex + 1]
-                for edge_index in range(start, end):
-                    neighbor = self._targets[edge_index]
-                    core.compute(config.instructions_per_edge)
-                    target = targets_base + edge_index * config.edge_entry_bytes
-                    flag = visited_base + neighbor * config.vertex_entry_bytes
-                    edges_traversed += 1
-                    if visited[neighbor]:
-                        core.access_many((target, flag))
-                    else:
-                        # Check the flag, then mark the neighbour visited.
-                        visited[neighbor] = 1
-                        core.access_many((target, flag, flag), _VISIT_WRITES)
-                        frontier.append(neighbor)
-        return self._finish(core, edges_traversed=edges_traversed,
-                            vertices_visited=vertices_visited)
+            core.execute(self._bfs((root_index * 7919) % config.num_vertices, tally))
+        return self._finish(core, edges_traversed=tally[1],
+                            vertices_visited=tally[0])
+
+    def _bfs(self, root: int, tally: List[int]) -> Iterator[tuple]:
+        """The stream of one breadth-first search from ``root``.
+
+        Per vertex, its CSR offset; per edge, compute, the edge target
+        and the neighbour's visited flag, plus the flag update on a
+        first visit.  The visit order depends only on the graph.
+        """
+        config = self.config
+        instructions = config.instructions_per_edge
+        vertex_bytes, edge_bytes = config.vertex_entry_bytes, config.edge_entry_bytes
+        offsets, targets = self._offsets, self._targets
+        targets_base = config.num_vertices * vertex_bytes
+        visited_base = targets_base + len(targets) * edge_bytes
+        visited = bytearray(config.num_vertices)
+        frontier = deque([root])
+        visited[root] = 1
+        while frontier:
+            vertex = frontier.popleft()
+            start, end = offsets[vertex], offsets[vertex + 1]
+            tally[0] += 1
+            tally[1] += end - start
+            yield None, vertex * vertex_bytes, False
+            for edge_index in range(start, end):
+                neighbor = targets[edge_index]
+                flag = visited_base + neighbor * vertex_bytes
+                yield instructions, targets_base + edge_index * edge_bytes, False
+                yield None, flag, False
+                if not visited[neighbor]:
+                    # Check the flag, then mark the neighbour visited.
+                    visited[neighbor] = 1
+                    yield None, flag, True
+                    frontier.append(neighbor)

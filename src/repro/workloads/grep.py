@@ -11,6 +11,7 @@ all-local configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cpu.core import TimingCore
 from repro.workloads.base import Workload, WorkloadResult
@@ -51,14 +52,20 @@ class GrepWorkload(Workload):
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
-        line_bytes = core.hierarchy.line_bytes
-        lines_per_record = max(1, config.record_bytes // line_bytes)
-        records_scanned = 0
-        for record_index in range(0, config.num_records, config.stride_records):
+        records = range(0, config.num_records, config.stride_records)
+        core.execute(self._scan(records, core.hierarchy.line_bytes))
+        return self._finish(core, records_scanned=len(records),
+                            bytes_scanned=len(records) * config.record_bytes)
+
+    def _scan(self, records: range, line_bytes: int) -> Iterator[tuple]:
+        """The scan's stream: match compute, then the record's lines."""
+        config = self.config
+        instructions = config.instructions_per_record
+        offsets = range(0, max(1, config.record_bytes // line_bytes) * line_bytes,
+                        line_bytes)
+        for record_index in records:
             base = record_index * config.record_bytes
-            core.compute(config.instructions_per_record)
-            core.access_many(range(base, base + lines_per_record * line_bytes,
-                                   line_bytes))
-            records_scanned += 1
-        return self._finish(core, records_scanned=records_scanned,
-                            bytes_scanned=records_scanned * config.record_bytes)
+            before = instructions
+            for offset in offsets:
+                yield before, base + offset, False
+                before = None

@@ -14,10 +14,11 @@ latency -- unlike PageRank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, List
 
 from repro.cpu.core import TimingCore
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.base import Workload, WorkloadResult, record_address, touch_record
+from repro.workloads.base import Workload, WorkloadResult, record_address, record_lines
 
 
 @dataclass
@@ -60,29 +61,14 @@ class KeyValueWorkload(Workload):
 
     def __init__(self, config: KeyValueConfig = None):
         self.config = config or KeyValueConfig()
-        self.rng = DeterministicRNG(self.config.seed)
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
-        line_bytes = core.hierarchy.line_bytes
-        reads = 0
-        writes = 0
-        for _ in range(config.num_queries):
-            if config.zipf_skew > 0:
-                index = self.rng.zipf_index(config.num_records, config.zipf_skew)
-            else:
-                index = self.rng.uniform_int(0, config.num_records - 1)
-            address = record_address(index, config.record_bytes)
-            is_write = not self.rng.bernoulli(config.read_fraction)
-            if config.per_query_overhead_ns:
-                core.stall(config.per_query_overhead_ns)
-            core.compute(config.instructions_per_query)
-            touch_record(core, address, config.record_bytes, line_bytes,
-                         is_write=is_write)
-            if is_write:
-                writes += 1
-            else:
-                reads += 1
+        tally = [0]  # writes
+        core.execute(self._queries(core.hierarchy.line_bytes, tally),
+                     stall_ns=config.per_query_overhead_ns)
+        writes = tally[0]
+        reads = config.num_queries - writes
         return self._finish(
             core,
             queries=config.num_queries,
@@ -90,6 +76,25 @@ class KeyValueWorkload(Workload):
             writes=writes,
             read_fraction=reads / config.num_queries,
         )
+
+    def _queries(self, line_bytes: int, tally: List[int]) -> Iterator[tuple]:
+        """Per query: its compute, then every line of one random record."""
+        config = self.config
+        rng = DeterministicRNG(config.seed)
+        instructions = config.instructions_per_query
+        lines = record_lines(config.record_bytes, line_bytes)
+        for _ in range(config.num_queries):
+            if config.zipf_skew > 0:
+                index = rng.zipf_index(config.num_records, config.zipf_skew)
+            else:
+                index = rng.uniform_int(0, config.num_records - 1)
+            address = record_address(index, config.record_bytes)
+            is_write = not rng.bernoulli(config.read_fraction)
+            tally[0] += is_write
+            before = instructions
+            for offset in lines:
+                yield before, address + offset, is_write
+                before = None
 
 
 class TransactionalKeyValueWorkload(Workload):
@@ -107,22 +112,28 @@ class TransactionalKeyValueWorkload(Workload):
             raise ValueError("queries_per_transaction must be positive")
         self.config = config or KeyValueConfig()
         self.queries_per_transaction = queries_per_transaction
-        self.rng = DeterministicRNG(self.config.seed)
 
     def run(self, core: TimingCore) -> WorkloadResult:
-        config = self.config
-        line_bytes = core.hierarchy.line_bytes
-        transactions = max(1, config.num_queries // self.queries_per_transaction)
-        for _ in range(transactions):
-            for query_index in range(self.queries_per_transaction):
-                index = self.rng.uniform_int(0, config.num_records - 1)
-                address = record_address(index, config.record_bytes)
-                # Last query of the transaction is the put.
-                is_write = query_index == self.queries_per_transaction - 1
-                if config.per_query_overhead_ns:
-                    core.stall(config.per_query_overhead_ns)
-                core.compute(config.instructions_per_query)
-                touch_record(core, address, config.record_bytes, line_bytes,
-                             is_write=is_write)
+        transactions = max(1, self.config.num_queries // self.queries_per_transaction)
+        core.execute(self._transactions(transactions, core.hierarchy.line_bytes),
+                     stall_ns=self.config.per_query_overhead_ns)
         return self._finish(core, transactions=transactions,
                             queries=transactions * self.queries_per_transaction)
+
+    def _transactions(self, transactions: int, line_bytes: int) -> Iterator[tuple]:
+        """Per query: its compute, then every line of one random record;
+        the last query of each transaction is the put."""
+        config = self.config
+        rng = DeterministicRNG(config.seed)
+        instructions = config.instructions_per_query
+        lines = record_lines(config.record_bytes, line_bytes)
+        put = self.queries_per_transaction - 1
+        for _ in range(transactions):
+            for query_index in range(self.queries_per_transaction):
+                index = rng.uniform_int(0, config.num_records - 1)
+                address = record_address(index, config.record_bytes)
+                is_write = query_index == put
+                before = instructions
+                for offset in lines:
+                    yield before, address + offset, is_write
+                    before = None

@@ -14,14 +14,11 @@ accumulating writes into the destination-contribution array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cpu.core import TimingCore
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.base import Workload, WorkloadResult
-
-#: Write flags of one edge's accesses: edge, source rank, destination rank.
-_EDGE_WRITES = (False, False, True)
-
 
 @dataclass
 class PageRankConfig:
@@ -67,7 +64,6 @@ class PageRankWorkload(Workload):
 
     def __init__(self, config: PageRankConfig = None):
         self.config = config or PageRankConfig()
-        self.rng = DeterministicRNG(self.config.seed)
 
     def _addresses(self):
         """Base addresses of the edge list and the two rank arrays."""
@@ -79,21 +75,25 @@ class PageRankWorkload(Workload):
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
-        edge_base, src_rank_base, dst_rank_base = self._addresses()
-        edges_processed = 0
+        rng = DeterministicRNG(config.seed)
         for _ in range(config.iterations):
-            for edge_index in range(config.num_edges):
-                src = self.rng.uniform_int(0, config.num_vertices - 1)
-                dst = self.rng.uniform_int(0, config.num_vertices - 1)
-                edge_address = edge_base + edge_index * config.edge_entry_bytes
-                src_address = src_rank_base + src * config.rank_entry_bytes
-                dst_address = dst_rank_base + dst * config.rank_entry_bytes
-                if config.per_access_overhead_ns:
-                    core.stall(config.per_access_overhead_ns)
-                core.compute(config.instructions_per_edge)
-                core.access_many((edge_address, src_address, dst_address),
-                                 _EDGE_WRITES, asynchronous=config.asynchronous)
-                edges_processed += 1
+            core.execute(self._iteration(rng), asynchronous=config.asynchronous,
+                         stall_ns=config.per_access_overhead_ns)
             core.drain()
-        return self._finish(core, edges_processed=edges_processed,
+        return self._finish(core, edges_processed=config.iterations * config.num_edges,
                             iterations=config.iterations)
+
+    def _iteration(self, rng: DeterministicRNG) -> Iterator[tuple]:
+        """One pass over the edge list: per edge, compute, the edge, the
+        source rank, then the destination-rank accumulation."""
+        config = self.config
+        edge_base, src_rank_base, dst_rank_base = self._addresses()
+        instructions = config.instructions_per_edge
+        edge_bytes, rank_bytes = config.edge_entry_bytes, config.rank_entry_bytes
+        high = config.num_vertices - 1
+        for edge_index in range(config.num_edges):
+            src = rng.uniform_int(0, high)
+            dst = rng.uniform_int(0, high)
+            yield instructions, edge_base + edge_index * edge_bytes, False
+            yield None, src_rank_base + src * rank_bytes, False
+            yield None, dst_rank_base + dst * rank_bytes, True

@@ -140,10 +140,10 @@ class RedisCacheWorkload(Workload):
         self.config = config or RedisCacheConfig()
         self.backing_store = backing_store or MysqlBackingStore()
         self.warm = warm
-        self.rng = DeterministicRNG(self.config.seed)
 
     def run(self, core: TimingCore) -> WorkloadResult:
         config = self.config
+        rng = DeterministicRNG(config.seed)
         line_bytes = core.hierarchy.line_bytes
         # Pre-populate with an arbitrary prefix of the key space, as the
         # paper measures after "proper initialization and warmup".
@@ -153,8 +153,8 @@ class RedisCacheWorkload(Workload):
         hits = 0
         misses = 0
         for _ in range(config.num_queries):
-            key = self.rng.uniform_int(0, config.key_space - 1)
-            is_write = self.rng.bernoulli(config.write_fraction)
+            key = rng.uniform_int(0, config.key_space - 1)
+            is_write = rng.bernoulli(config.write_fraction)
             core.compute(config.instructions_per_query)
             if key in cache:
                 hits += 1

@@ -80,6 +80,19 @@ def test_figure_report_without_reference():
     assert "a note" in report.to_text()
 
 
+def test_figure_report_digest_is_full_precision_and_order_free():
+    def report(values):
+        built = FigureReport(figure_id="figZ", title="demo")
+        built.add_series("raw", values)
+        return built
+
+    digest = report({"x": 1.0, "y": 2.0}).digest()
+    assert len(digest) == 64
+    # Label order does not matter; the last bit of a value does.
+    assert report({"y": 2.0, "x": 1.0}).digest() == digest
+    assert report({"x": 1.0, "y": 2.0 + 2.0 ** -51}).digest() != digest
+
+
 # ----------------------------------------------------------------------
 # Hardware cost model (Section 7.3)
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cluster.latency_cache import ClusterLatencyCache
+from repro.core.channels.backend import ClosedFormBackend
 from repro.core.channels.crma import CrmaChannel, CrmaRemoteBackend
-from repro.core.channels.path import FabricPath
+from repro.core.channels.path import CachedFabricPath, FabricPath
 from repro.core.channels.qpair import QPairChannel, QPairRemoteMemoryBackend
 from repro.core.channels.rdma import RdmaChannel, RdmaSwapDevice
 from repro.core.config import ChannelPlacement, QPairConfig, RdmaConfig
@@ -100,6 +102,39 @@ def test_crma_backend_adapts_channel():
     backend = CrmaRemoteBackend(CrmaChannel())
     assert backend.remote_read_latency_ns(LINE) > 0
     assert backend.remote_write_latency_ns(LINE) > 0
+
+
+class RecomputingClosedForm(ClosedFormBackend):
+    """The closed forms, recomputed on every op (a subclass is never memoized)."""
+
+
+def test_crma_closed_form_latencies_are_computed_once_per_size():
+    path = FabricPath()
+    once = CrmaChannel(path=path)
+    every_op = CrmaChannel(path=path, backend=RecomputingClosedForm(path))
+    for size in (LINE, 8, LINE, 64, LINE):
+        assert once.read_latency_ns(size) == every_op.read_latency_ns(size)
+        assert once.write_latency_ns(size) == every_op.write_latency_ns(size)
+    assert sorted(once._fixed) == [8, LINE, 64]
+    assert every_op.fixed_latencies_ns(LINE) is None
+    # Every op still counts, at the channel and at the donor's DRAM.
+    for ours, theirs in ((once.stats, every_op.stats),
+                         (once.donor_dram.stats, every_op.donor_dram.stats)):
+        assert list(ours.snapshot().items()) == list(theirs.snapshot().items())
+    assert once.stats.snapshot()["reads"] == 5
+    assert once.donor_dram.stats.snapshot() == {"accesses": 5, "bytes": 3 * LINE + 8 + 64}
+
+
+def test_crma_latencies_through_a_shared_cache_are_never_memoized():
+    cache = ClusterLatencyCache()
+    channel = CrmaChannel(path=CachedFabricPath(cache=cache))
+    assert channel.fixed_latencies_ns(LINE) is None
+    channel.read_latency_ns(LINE)
+    channel.read_latency_ns(LINE)
+    # Two one-way queries per read, each one a counted cache lookup.
+    assert cache.lookups == 4
+    # A CachedFabricPath with no cache is the plain closed forms.
+    assert CrmaChannel(path=CachedFabricPath()).fixed_latencies_ns(LINE) is not None
 
 
 def test_crma_invalid_sizes():

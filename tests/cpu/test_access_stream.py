@@ -10,6 +10,15 @@ swap-backed and mixed hierarchies, hot-plugging, unplugging and
 removing memory between batches.  After every batch the two must agree
 bit for bit: the core's float clocks, every latency, every component's
 counters (values and creation order) and, at the end, every cache set.
+
+The ``crma`` layout serves remote misses through a closed-form CRMA
+channel, which computes its constant fill costs once per size; its
+reference twin recomputes every fill.
+
+``TimingCore.execute`` -- the whole-run compute/access stream the
+analytic workloads send -- is checked against the same stream made of
+``compute()`` + ``access_many()`` calls, group by group, across its
+chunk boundaries and for its mid-stream exception contract.
 """
 
 import heapq
@@ -17,7 +26,10 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.cpu.core import CpuConfig, TimingCore
+from repro.core.channels.backend import ClosedFormBackend
+from repro.core.channels.crma import CrmaChannel, CrmaRemoteBackend
+from repro.core.channels.path import FabricPath
+from repro.cpu.core import STREAM_CHUNK, CpuConfig, TimingCore
 from repro.cpu.hierarchy import MemoryHierarchy, RemoteMemoryBackend
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
@@ -33,6 +45,16 @@ CACHE = CacheConfig(size_bytes=4 * KB, line_bytes=32, associativity=2,
 PREFETCH = PrefetcherConfig(num_streams=3, training_threshold=2, degree=4)
 #: 667 MHz: a non-integer cycle time, so the clocks carry fractions.
 CPU = CpuConfig(clock_mhz=667.0, max_outstanding=4)
+
+
+class RecomputingClosedForm(ClosedFormBackend):
+    """The closed forms, recomputed on every op (a subclass is never memoized)."""
+
+
+def crma_backend(memoized):
+    path = FabricPath()
+    backend = ClosedFormBackend(path) if memoized else RecomputingClosedForm(path)
+    return CrmaRemoteBackend(CrmaChannel(path=path, backend=backend))
 
 
 class DriftingBackend(RemoteMemoryBackend):
@@ -270,11 +292,11 @@ class Twins:
                 memory_map = PhysicalMemoryMap(4 * KB)
             else:
                 memory_map = PhysicalMemoryMap(64 * KB)
-            if layout in ("remote", "mixed"):
+            if layout in ("remote", "mixed", "crma"):
                 memory_map.hot_plug_remote(64 * KB, donor_node=1, donor_base=0)
             self.maps.append(memory_map)
-        remote = layout in ("remote", "mixed")
-        swapped = layout in ("swap", "mixed")
+        remote = layout in ("remote", "mixed", "crma")
+        swapped = layout in ("swap", "mixed", "crma")
 
         def swap_manager():
             return SwapManager(SwapConfig(resident_frames=6, fault_overhead_ns=800,
@@ -283,7 +305,10 @@ class Twins:
                                                           write_latency_us=31.0))
 
         self.swaps = [swap_manager() if swapped else None for _ in range(2)]
-        self.backends = [DriftingBackend() if remote else None for _ in range(2)]
+        if layout == "crma":
+            self.backends = [crma_backend(memoized=True), crma_backend(memoized=False)]
+        else:
+            self.backends = [DriftingBackend() if remote else None for _ in range(2)]
         self.hierarchy = MemoryHierarchy(
             self.maps[0], cache=Cache(CACHE), dram=Dram(DramConfig()),
             remote_backend=self.backends[0], swap=self.swaps[0],
@@ -324,6 +349,10 @@ class Twins:
                  (hierarchy.dram.stats, ref_h.dram.stats)]
         if self.swaps[0] is not None:
             pairs.append((self.swaps[0].stats, self.swaps[1].stats))
+        if isinstance(self.backends[0], CrmaRemoteBackend):
+            ours, theirs = (backend.channel for backend in self.backends)
+            pairs += [(ours.stats, theirs.stats),
+                      (ours.donor_dram.stats, theirs.donor_dram.stats)]
         for ours, theirs in pairs:
             # Same values and the same creation order.
             assert list(ours.snapshot().items()) == list(theirs.snapshot().items())
@@ -380,7 +409,7 @@ def run_twins(layout, seed, batches=160):
         elif step == 2:
             core.drain()
             ref.drain()
-        elif step == 3 and layout == "mixed":
+        elif step == 3 and layout in ("mixed", "crma"):
             mutate = rng.uniform_int(0, 3)
             if mutate == 0 or not twins.plugged:
                 twins.hot_plug_remote(rng.uniform_int(1, 8) * 4 * KB)
@@ -419,7 +448,7 @@ def run_twins(layout, seed, batches=160):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("layout", ["local", "remote", "swap", "mixed"])
+@pytest.mark.parametrize("layout", ["local", "remote", "swap", "mixed", "crma"])
 def test_batched_stream_matches_per_access_reference(layout, seed):
     twins = run_twins(layout, seed)
     counters = twins.hierarchy.stats.snapshot()
@@ -427,10 +456,14 @@ def test_batched_stream_matches_per_access_reference(layout, seed):
     assert counters.get("cache_hits", 0) > 0
     assert twins.hierarchy.cache.stats.counter("writebacks").value > 0
     assert counters.get("prefetch_covered_fills", 0) > 0 or layout == "swap"
-    if layout in ("remote", "mixed"):
+    if layout in ("remote", "mixed", "crma"):
         assert counters.get("fills_remote", 0) > 0
-    if layout in ("swap", "mixed"):
+    if layout in ("swap", "mixed", "crma"):
         assert counters.get("fills_swap", 0) > 0
+    if layout == "crma":
+        # Memoized reads, writes and remote writebacks all happened.
+        channel = twins.backends[0].channel.stats.snapshot()
+        assert channel["reads"] > 0 and channel["writes"] > 0
 
 
 def test_mixed_stream_mutates_the_map_between_batches():
@@ -452,3 +485,185 @@ def test_direct_hierarchy_access_matches_reference():
         assert (outcome.latency_ns, outcome.served_by, outcome.cache_hit) == \
             (latency, served_by, served_by == "cache")
     twins.assert_same_state()
+
+
+# ----------------------------------------------------------------------
+# TimingCore.execute: compute folded into the access stream
+# ----------------------------------------------------------------------
+def stream_groups(seed, twins, accesses):
+    """Seeded ``(instructions, [(address, is_write), ...])`` groups.
+
+    Together they hold exactly ``accesses`` accesses; about a quarter of
+    the groups carry no compute (None) and a quarter compute nothing (0).
+    """
+    rng = DeterministicRNG(seed)
+    groups = []
+    total = 0
+    while total < accesses:
+        size = min(rng.uniform_int(1, 5), accesses - total)
+        pick = rng.uniform_int(0, 3)
+        instructions = (None, 0)[pick] if pick < 2 else rng.uniform_int(1, 300)
+        group = [(address, rng.bernoulli(0.4))
+                 for address in random_addresses(rng, twins, size)]
+        groups.append((instructions, group))
+        total += size
+    return groups
+
+
+def as_stream(groups):
+    """The groups as ``execute`` items: compute rides on the first access."""
+    for instructions, group in groups:
+        before = instructions
+        for address, is_write in group:
+            yield before, address, is_write
+            before = None
+
+
+def run_groups(core, groups, asynchronous, stall_ns):
+    """The reference: ``stall`` + ``compute`` + ``access_many`` per group."""
+    for instructions, group in groups:
+        if instructions is not None:
+            if stall_ns:
+                core.stall(stall_ns)
+            core.compute(instructions)
+        core.access_many([address for address, _ in group],
+                         [is_write for _, is_write in group],
+                         asynchronous=asynchronous)
+
+
+def core_state(twins):
+    """Every number the core and the hierarchy below it hold."""
+    core = twins.core
+    hierarchy = core.hierarchy
+    registries = [core.stats, hierarchy.stats, hierarchy.cache.stats,
+                  hierarchy.prefetcher.stats, hierarchy.dram.stats]
+    if hierarchy.swap is not None:
+        registries.append(hierarchy.swap.stats)
+    if isinstance(hierarchy.remote_backend, CrmaRemoteBackend):
+        channel = hierarchy.remote_backend.channel
+        registries += [channel.stats, channel.donor_dram.stats]
+    return ((core._now, core._compute_ns, core._memory_ns, core._stall_ns,
+             list(core._outstanding)),
+            [list(registry.snapshot().items()) for registry in registries])
+
+
+@pytest.mark.parametrize("stall_ns", [0, 37.5])
+@pytest.mark.parametrize("length", [STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1])
+@pytest.mark.parametrize("asynchronous", [False, True])
+@pytest.mark.parametrize("layout", ["mixed", "crma"])
+def test_execute_matches_compute_and_access_many(layout, asynchronous, length, stall_ns):
+    streamed, grouped = Twins(layout), Twins(layout)
+    groups = stream_groups(length + 7 * asynchronous, streamed, length)
+    assert sum(len(group) for _, group in groups) == length
+    assert any(instructions is None for instructions, _ in groups)
+    assert any(instructions == 0 for instructions, _ in groups)
+
+    streamed.core.execute(as_stream(groups), asynchronous=asynchronous,
+                          stall_ns=stall_ns)
+    run_groups(grouped.core, groups, asynchronous, stall_ns)
+    # Bit-identical clocks, outstanding window and counters (values and
+    # creation order) in every component.
+    assert core_state(streamed) == core_state(grouped)
+
+    # ...and the same as the independent per-access model.
+    for instructions, group in groups:
+        if instructions is not None:
+            streamed.ref.stall(stall_ns)
+            streamed.ref.compute(instructions)
+        access = streamed.ref.asynchronous if asynchronous else streamed.ref.blocking
+        for address, is_write in group:
+            access(address, is_write)
+    streamed.assert_identical()
+
+
+def test_execute_with_no_compute_creates_no_instruction_counter():
+    streamed, grouped = Twins("local"), Twins("local")
+    groups = [(None, group) for _, group in stream_groups(5, streamed, 40)]
+    streamed.core.execute(as_stream(groups))
+    run_groups(grouped.core, groups, False, 0)
+    assert core_state(streamed) == core_state(grouped)
+    assert "instructions" not in streamed.core.stats.snapshot()
+
+
+def test_execute_counter_order_follows_first_use():
+    """An access with no compute first: ``accesses`` precedes ``instructions``."""
+    streamed, grouped = Twins("mixed"), Twins("mixed")
+    groups = stream_groups(11, streamed, 64)
+    groups[0] = (None, groups[0][1])
+    streamed.core.execute(as_stream(groups))
+    run_groups(grouped.core, groups, False, 0)
+    assert core_state(streamed) == core_state(grouped)
+    keys = list(streamed.core.stats.snapshot())
+    assert keys.index("accesses") < keys.index("instructions")
+
+
+# Mid-stream exceptions.  The contract: every chunk before the one that
+# raises has been applied in full; the raising chunk's stalls, compute
+# and latencies are not applied to the core; the hierarchy has served
+# that chunk's accesses before the failing one, and its cache has
+# looked up the whole chunk.
+BAD_ADDRESS = 1 << 40  # beyond visible memory on a hierarchy with no swap
+
+
+def test_execute_access_error_leaves_earlier_chunks_applied():
+    streamed, grouped = Twins("remote"), Twins("remote")
+    groups = stream_groups(21, streamed, 2 * STREAM_CHUNK + 10)
+    items = list(as_stream(groups))
+    failing = STREAM_CHUNK + 5
+    items[failing] = (items[failing][0], BAD_ADDRESS, False)
+
+    with pytest.raises(RuntimeError, match="exceeds visible memory"):
+        streamed.core.execute(iter(items), stall_ns=12)
+
+    # The core holds exactly the first chunk.
+    first_chunk = items[:STREAM_CHUNK]
+    for instructions, address, is_write in first_chunk:
+        if instructions is not None:
+            grouped.core.stall(12)
+            grouped.core.compute(instructions)
+        grouped.core.access_many([address], [is_write])
+    ours, theirs = core_state(streamed), core_state(grouped)
+    assert ours[0] == theirs[0]
+    assert ours[1][0] == theirs[1][0]  # core counters
+    # The hierarchy also served the second chunk up to the failing access...
+    prefix = items[STREAM_CHUNK:failing]
+    grouped.hierarchy.access_many([address for _, address, _ in prefix],
+                                  [is_write for _, _, is_write in prefix])
+    assert core_state(streamed)[1][1] == core_state(grouped)[1][1]
+    # ...while its cache looked up the whole second chunk.
+    looked_up = sum(streamed.hierarchy.cache.stats.snapshot().get(key, 0)
+                    for key in ("reads", "writes"))
+    assert looked_up == 2 * STREAM_CHUNK
+
+
+def test_execute_stream_error_applies_nothing_of_its_chunk():
+    streamed, grouped = Twins("mixed"), Twins("mixed")
+    items = list(as_stream(stream_groups(22, streamed, STREAM_CHUNK + 3)))
+
+    def failing_stream():
+        yield from items
+        raise KeyError("workload bug")
+
+    with pytest.raises(KeyError):
+        streamed.core.execute(failing_stream())
+    first_chunk = items[:STREAM_CHUNK]
+    for instructions, address, is_write in first_chunk:
+        if instructions is not None:
+            grouped.core.compute(instructions)
+        grouped.core.access_many([address], [is_write])
+    assert core_state(streamed) == core_state(grouped)
+
+
+def test_execute_rejects_negative_compute_before_touching_the_chunk():
+    streamed, grouped = Twins("local"), Twins("local")
+    items = list(as_stream(stream_groups(23, streamed, STREAM_CHUNK + 3)))
+    items[STREAM_CHUNK + 1] = (-1, items[STREAM_CHUNK + 1][1], False)
+    with pytest.raises(ValueError, match="non-negative"):
+        streamed.core.execute(iter(items))
+    for instructions, address, is_write in items[:STREAM_CHUNK]:
+        if instructions is not None:
+            grouped.core.compute(instructions)
+        grouped.core.access_many([address], [is_write])
+    assert core_state(streamed) == core_state(grouped)
+    with pytest.raises(ValueError, match="non-negative"):
+        streamed.core.execute(iter(items[:1]), stall_ns=-1)

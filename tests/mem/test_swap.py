@@ -152,3 +152,29 @@ def test_cluster_read_amortises_fixed_cost():
     single = device.read_page_latency_ns(4096)
     cluster = device.read_cluster_latency_ns(4096, 8)
     assert cluster < 8 * single
+
+
+def test_counters_are_created_on_first_use_in_event_order():
+    swap = SwapManager(SwapConfig(resident_frames=2, readahead_pages=2,
+                                  fault_overhead_ns=100),
+                       device=InstrumentedDevice())
+    assert swap.stats.snapshot() == {}
+    swap.access(0, is_write=True)   # fault
+    swap.access(0)                  # resident hit
+    swap.access(4096)               # sequential fault: readahead evicts dirty page 0
+    assert list(swap.stats.snapshot().items()) == [
+        ("accesses", 3), ("faults", 2), ("pages_in", 3), ("resident_hits", 1),
+        ("writebacks", 1), ("readahead_clusters", 1)]
+
+
+def test_fault_metrics_read_before_any_access_share_the_live_counters():
+    swap = SwapManager(SwapConfig(resident_frames=4), device=InstrumentedDevice())
+    assert swap.fault_rate == 0.0
+    assert swap.fault_count == 0
+    assert list(swap.stats.snapshot()) == ["accesses", "faults"]
+    swap.access(0)
+    swap.access(0)
+    assert swap.fault_count == 1
+    assert swap.fault_rate == 0.5
+    assert list(swap.stats.snapshot()) == ["accesses", "faults", "pages_in",
+                                           "resident_hits"]
