@@ -74,9 +74,6 @@ WORKLOADS: Dict[str, dict] = {
                   ops=2000),
     "mn_shard": dict(num_nodes=8, topology="fat_tree", mode="mn_shard",
                      ops=1500, shards=2),
-    "parallel_fat_tree": dict(num_nodes=64, leaf_radix=4, num_spines=2,
-                              mode="parallel", packets_per_node=48, rounds=4,
-                              workers=4),
 }
 
 #: Gap between injection rounds, ns (lets queues partially drain so the
@@ -104,7 +101,6 @@ class WorkloadResult:
     core: str = "py"
     mean_rtt_ns: Optional[float] = None
     sanitize: bool = False
-    workers: Optional[int] = None
 
     def to_dict(self) -> dict:
         data = {
@@ -123,10 +119,6 @@ class WorkloadResult:
         }
         if self.mean_rtt_ns is not None:
             data["mean_rtt_ns"] = round(self.mean_rtt_ns, 1)
-        if self.workers is not None:
-            # Partitioned runs: how many worker processes the lookahead
-            # barrier spread the partitions over (1 = in-process).
-            data["workers"] = self.workers
         if self.sanitize:
             # Only stamped when on: sanitized numbers must never be
             # compared against production ones silently, and omitting
@@ -537,58 +529,9 @@ class MnShardOpsDriver:
         return self.latency_total_ns / self.completed if self.completed else 0.0
 
 
-def build_parallel_spec(workload: str, packets_per_node: Optional[int] = None,
-                        seed: int = 2016, scheduler: str = "auto"):
-    """Deterministic open-loop spec for the partitioned fat-tree runs.
-
-    Same shape as :func:`inject_traffic` -- per-node bursts separated by
-    ``ROUND_GAP_NS`` with seeded destinations -- but emitted as a
-    picklable :class:`~repro.sim.partition.ParallelFabricSpec` so the
-    identical workload can run monolithically, inline-partitioned or
-    forked over worker processes.  Injections inside a burst are
-    staggered a few ns apart so the merged dump stays order-robust.
-    """
-    from repro.sim.partition import ParallelFabricSpec
-
-    spec = WORKLOADS[workload]
-    num_nodes = spec["num_nodes"]
-    rounds = spec["rounds"]
-    per_round = max(1, (packets_per_node or spec["packets_per_node"]) // rounds)
-    rng = DeterministicRNG(seed)
-    peers = {src: [node for node in range(num_nodes) if node != src]
-             for src in range(num_nodes)}
-    injections = []
-    for round_index in range(rounds):
-        at = round_index * ROUND_GAP_NS
-        stagger = 0
-        for src in range(num_nodes):
-            for _ in range(per_round):
-                injections.append((at + stagger, src, rng.choice(peers[src]),
-                                   PAYLOAD_BYTES))
-                stagger += 3
-    return ParallelFabricSpec(num_nodes=num_nodes,
-                              leaf_radix=spec["leaf_radix"],
-                              num_spines=spec["num_spines"],
-                              scheduler=scheduler,
-                              injections=tuple(injections))
-
-
-def _resolved_core(sanitize: Optional[bool]) -> str:
-    """The dispatch core a Simulator would resolve to right now.
-
-    Used for runs whose simulators live out of reach (partition
-    workers): same precedence as the Simulator itself -- ``SIM_CORE``
-    env, else auto, with sanitize forcing the Python engine.
-    """
-    from repro.sim import engine
-
-    return engine._resolve_core(None, sanitize)
-
-
 def run_workload(workload: str, packets_per_node: Optional[int] = None,
                  seed: int = 2016, scheduler: str = "auto",
-                 sanitize: bool = False,
-                 parallel: Optional[int] = None) -> WorkloadResult:
+                 sanitize: bool = False) -> WorkloadResult:
     """Build, inject and run one workload under the wall-clock timer.
 
     ``sanitize=True`` runs the workload with the runtime sanitizer on
@@ -601,30 +544,6 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
     # bench run is honestly stamped in its results.
     san = True if sanitize else None
     driver = None
-    if spec["mode"] == "parallel":
-        from repro.sim.partition import run_partitioned
-
-        workers = parallel if parallel is not None else spec["workers"]
-        parallel_spec = build_parallel_spec(workload, packets_per_node,
-                                            seed=seed, scheduler=scheduler)
-        mode = "fork" if workers > 1 else "inline"
-        start = time.perf_counter()
-        dump = run_partitioned(parallel_spec, workers=workers, mode=mode)
-        wall = time.perf_counter() - start
-        deliveries = dump["deliveries"]
-        return WorkloadResult(
-            workload=workload,
-            packets=len(parallel_spec.injections),
-            delivered=len(deliveries),
-            events=dump["events"],
-            sim_ns=max((record[0] for record in deliveries), default=0),
-            wall_s=wall,
-            events_per_sec=dump["events"] / wall if wall > 0 else 0.0,
-            scheduler=scheduler,
-            core=_resolved_core(san),
-            sanitize=bool(san),
-            workers=workers,
-        )
     if spec["mode"] == "mn_shard":
         shard_driver = MnShardOpsDriver(ops=packets_per_node or spec["ops"],
                                         scheduler=scheduler, sanitize=san,
@@ -754,16 +673,14 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
 def run_all(packets_per_node: Optional[int] = None,
             workloads: Optional[List[str]] = None,
             repeats: int = 1, scheduler: str = "auto",
-            sanitize: bool = False,
-            parallel: Optional[int] = None) -> Dict[str, WorkloadResult]:
+            sanitize: bool = False) -> Dict[str, WorkloadResult]:
     """Run the selected workloads, keeping the best of ``repeats`` runs."""
     results: Dict[str, WorkloadResult] = {}
     for workload in workloads or list(WORKLOADS):
         best: Optional[WorkloadResult] = None
         for _ in range(max(1, repeats)):
             result = run_workload(workload, packets_per_node,
-                                  scheduler=scheduler, sanitize=sanitize,
-                                  parallel=parallel)
+                                  scheduler=scheduler, sanitize=sanitize)
             if best is None or result.events_per_sec > best.events_per_sec:
                 best = result
         results[workload] = best
@@ -861,10 +778,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "clear error when it cannot be built; 'auto' "
                              "prefers it and falls back to 'py' silently. "
                              "Default: leave SIM_CORE (or auto) in charge")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="worker processes for partitioned workloads "
-                             "(parallel_fat_tree; 1 = in-process sequential "
-                             "partitions, default: the workload's spec)")
     parser.add_argument("--label", default="current",
                         help="label recorded in the JSON report")
     parser.add_argument("--json", metavar="PATH",
@@ -898,9 +811,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"auto to fall back to the Python engine)",
                       file=sys.stderr)
                 return 2
-        # Workloads build their simulators many layers down (and
-        # partition workers in other processes): the environment is the
-        # plumbing, exactly like SIM_SCHEDULER / SIM_SANITIZE.
+        # Workloads build their simulators many layers down: the
+        # environment is the plumbing, exactly like SIM_SCHEDULER /
+        # SIM_SANITIZE.
         os.environ["SIM_CORE"] = args.core
 
     if args.profile:
@@ -914,8 +827,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results = run_all(packets_per_node=args.packets_per_node,
                       workloads=args.workload, repeats=args.repeats,
-                      scheduler=args.scheduler, sanitize=args.sanitize,
-                      parallel=args.parallel)
+                      scheduler=args.scheduler, sanitize=args.sanitize)
     report = make_report(results, baseline=baseline, label=args.label)
     print_table(report)
 

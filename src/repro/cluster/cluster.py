@@ -34,7 +34,7 @@ from repro.core.channels.rdma import RdmaChannel
 from repro.core.config import ChannelPlacement, VeniceConfig
 from repro.core.node import VeniceNode
 from repro.core.system import VeniceSystem
-from repro.fabric.router import RouterConfig
+from repro.fabric.phy import RouterConfig
 from repro.fabric.topology import Topology
 from repro.runtime.monitor import MonitorNode
 from repro.runtime.policies import (
@@ -139,7 +139,7 @@ class Cluster:
         """True when this cluster's channels measure ops as packets."""
         return self.config.transport_backend == "event"
 
-    def event_transport(self, parallel: int = 1) -> EventTransport:
+    def event_transport(self) -> EventTransport:
         """The fleet-wide event-fabric executor every channel shares.
 
         Built lazily over the cluster's *full* topology (leaves, spines,
@@ -147,18 +147,13 @@ class Cluster:
         per-route :class:`~repro.core.channels.backend.EventBackend`
         this cluster hands out, so concurrent borrowers' measured
         packets genuinely queue behind each other on shared links.
-
-        ``parallel > 1`` splits the fabric into per-leaf partitions
-        synchronized by a conservative-lookahead barrier (see
-        :mod:`repro.sim.partition`); merged stats are byte-identical to
-        the single-simulator run.  The shape is fixed on first use.
         """
         if not self.event_backed:
             raise ValueError(
                 "this cluster costs transport through the closed forms; "
                 "build it with ClusterConfig(transport_backend='event') "
                 "to get a fleet-wide event transport")
-        return self.system.event_transport(parallel=parallel)
+        return self.system.event_transport()
 
     def cross_traffic(self, flows: Optional[List[Tuple[int, int]]] = None,
                       **kwargs) -> CrossTrafficDriver:

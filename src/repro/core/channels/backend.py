@@ -360,15 +360,10 @@ class EventTransport:
                 "survived a quiet drain (stale-handler leak)")
 
     def inject(self, packet: Packet) -> None:
-        """Hand a packet to its source node's switch.
-
-        Routed through the fabric rather than the switch directly so a
-        partitioned fabric can defer injections that originate while a
-        foreign partition's clock is live (cross-traffic relaunches).
-        """
+        """Hand a packet to its source node's switch."""
         if self._sanitize:
             self.packets_injected += 1
-        self.fabric.inject(packet.src, packet)
+        self.fabric.switches[packet.src].inject(packet)
 
     def check_packet_lifecycle(self) -> None:
         """Audit packet conservation; only meaningful on an idle fabric.

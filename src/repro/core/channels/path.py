@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from repro.core.config import ChannelPlacement, FabricConfig
 from repro.fabric.packet import HEADER_BYTES
-from repro.fabric.router import RouterConfig
+from repro.fabric.phy import RouterConfig
 
 #: Smallest payload size class used by the latency memoization.
 _MIN_SIZE_CLASS = 8
@@ -127,7 +127,7 @@ class FabricPath:
     # ------------------------------------------------------------------
     # Derived variants
     # ------------------------------------------------------------------
-    def with_router(self, router: Optional[RouterConfig] = None,
+    def with_router(self, router: RouterConfig,
                     count: int = 1) -> "FabricPath":
         """Copy of this path with ``count`` external routers inserted.
 
@@ -135,7 +135,7 @@ class FabricPath:
         :class:`CachedFabricPath` keeps its type and shared cache.
         """
         return replace(self,
-                       external_router=router or RouterConfig(link=self.fabric.link),
+                       external_router=router,
                        external_router_count=count)
 
     def with_placement(self, placement: ChannelPlacement) -> "FabricPath":

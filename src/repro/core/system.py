@@ -28,8 +28,7 @@ from repro.core.node import VeniceNode
 from repro.core.sharing.remote_memory import RemoteMemoryGrant, share_memory, stop_sharing
 from repro.fabric.datalink import DataLink
 from repro.fabric.network import Switch
-from repro.fabric.phy import PhysicalLink
-from repro.fabric.router import RouterConfig
+from repro.fabric.phy import PhysicalLink, RouterConfig
 from repro.fabric.topology import (
     Topology,
     build_direct_pair,
@@ -50,15 +49,6 @@ class EventFabric:
     switches: Dict[int, Switch]
     links: Dict[Tuple[int, int], PhysicalLink]
     datalinks: Dict[Tuple[int, int], DataLink]
-
-    def inject(self, node_id: int, packet) -> None:
-        """Hand a packet to a node's switch (partition-aware hook point).
-
-        The monolithic fabric injects synchronously; the partitioned
-        fabric (:mod:`repro.sim.partition`) overrides this to defer
-        injections raised while a foreign partition is mid-window.
-        """
-        self.switches[node_id].inject(packet)
 
 
 class VeniceSystem:
@@ -93,7 +83,6 @@ class VeniceSystem:
         self.grants: List[RemoteMemoryGrant] = []
         #: Lazily built shared event executor (event backend only).
         self._event_transport: Optional[EventTransport] = None
-        self._event_transport_partitioned = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -173,46 +162,18 @@ class VeniceSystem:
     # ------------------------------------------------------------------
     # Transport backend
     # ------------------------------------------------------------------
-    def event_transport(self, parallel: int = 1) -> EventTransport:
+    def event_transport(self) -> EventTransport:
         """The system's shared event-fabric executor (built on first use).
 
         One simulator and one fabric serve every event-backed channel of
         this system, so their packets -- and any registered cross-traffic
         -- contend on the same links and switches.
-
-        ``parallel > 1`` builds the fabric partitioned per leaf router
-        (:mod:`repro.sim.partition`): each partition gets its own
-        simulator and the transport drives them through the
-        conservative-lookahead barrier.  Transport callbacks live in
-        this process, so the executor is the deterministic in-process
-        one; process-parallel fan-out is available for spec-driven
-        workloads via :func:`repro.sim.partition.run_partitioned`.
-        The fabric shape is fixed on first use -- later calls must
-        request the same ``parallel``.
         """
-        if parallel < 1:
-            raise ValueError(f"parallel must be positive, got {parallel}")
-        wants_partitions = parallel > 1
         if self._event_transport is None:
-            if wants_partitions:
-                from repro.sim.partition import (
-                    PartitionedEventFabric, build_partitioned_fabric)
-                fabric = PartitionedEventFabric(build_partitioned_fabric(
-                    self.config.fabric, self.topology,
-                    scheduler=self.scheduler, sanitize=self.sanitize))
-            else:
-                fabric = self.build_event_fabric(
-                    sim=Simulator(scheduler=self.scheduler,
-                                  sanitize=self.sanitize))
+            fabric = self.build_event_fabric(
+                sim=Simulator(scheduler=self.scheduler,
+                              sanitize=self.sanitize))
             self._event_transport = EventTransport(fabric)
-            self._event_transport_partitioned = wants_partitions
-        elif wants_partitions and not self._event_transport_partitioned:
-            # parallel=1 (the default internal callers use) accepts an
-            # existing fabric of either shape; asking to partition an
-            # already-built monolithic fabric cannot be honoured.
-            raise ValueError(
-                "event transport already built unpartitioned; request "
-                "parallel before the first channel/transport use")
         return self._event_transport
 
     def channel_backend(self, src: int, dst: int,

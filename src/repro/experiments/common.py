@@ -26,7 +26,7 @@ from repro.core.channels.rdma import RdmaChannel, RdmaSwapDevice
 from repro.core.config import ChannelPlacement, VeniceConfig
 from repro.cpu.core import CpuConfig, TimingCore
 from repro.cpu.hierarchy import MemoryHierarchy, RemoteMemoryBackend
-from repro.fabric.router import RouterConfig
+from repro.fabric.phy import RouterConfig
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
 from repro.mem.memory_map import PhysicalMemoryMap

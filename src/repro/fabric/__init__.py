@@ -3,7 +3,9 @@
 The fabric is organised exactly as in Figure 7 of the paper, bottom-up:
 
 * :mod:`repro.fabric.phy`      -- physical links (serialization +
-  propagation delay, bandwidth caps, optional bit errors).
+  propagation delay, bandwidth caps, optional bit errors), plus the
+  external-router parameters the Figure 6 experiment costs in closed
+  form.
 * :mod:`repro.fabric.datalink` -- point-to-point reliable transmission:
   credit-based flow control, CRC error detection on the receiver and a
   replay mechanism on the sender.
@@ -11,8 +13,6 @@ The fabric is organised exactly as in Figure 7 of the paper, bottom-up:
   routing table, plus "switchless" direct chip-to-chip operation.
 * :mod:`repro.fabric.topology` -- topology builders (direct pair,
   3D mesh, star through an external router).
-* :mod:`repro.fabric.router`   -- the external one-level router used in
-  the Figure 6 experiment.
 
 Transport-layer channels (CRMA, RDMA, QPair) live in
 :mod:`repro.core.channels` and sit on top of this package.
@@ -23,7 +23,6 @@ from repro.fabric.phy import PhysicalLink, LinkConfig
 from repro.fabric.datalink import DataLink, DataLinkConfig
 from repro.fabric.network import Switch, RoutingTable
 from repro.fabric.topology import Topology, build_direct_pair, build_mesh3d, build_star
-from repro.fabric.router import ExternalRouter
 
 __all__ = [
     "Packet",
@@ -40,5 +39,4 @@ __all__ = [
     "build_direct_pair",
     "build_mesh3d",
     "build_star",
-    "ExternalRouter",
 ]

@@ -84,6 +84,24 @@ class LinkConfig:
         return self.serialization_ns(wire_bytes) + self.phy_latency_ns + self.extra_delay_ns
 
 
+@dataclass
+class RouterConfig:
+    """Parameters of an external (off-chip) one-level router.
+
+    Section 4.2.2 inserts such a router between two resource-sharing
+    nodes (Figure 6): every crossing pays the router's forwarding
+    latency plus one more PHY crossing of ``link``.
+    """
+
+    #: Internal forwarding latency (lookup + crossbar + scheduling), ns.
+    forwarding_latency_ns: int = 300
+    #: Link configuration of the router's ports.  The router sits in the
+    #: same rack, so its extra hop crosses a short electrical link rather
+    #: than another full-length optical run; the default therefore uses a
+    #: much smaller PHY latency than the node-to-node links.
+    link: LinkConfig = field(default_factory=lambda: LinkConfig(phy_latency_ns=300))
+
+
 class PhysicalLink:
     """One direction of a serial point-to-point link.
 

@@ -22,12 +22,11 @@
  * drain threshold reads.
  *
  * Backend parity: the Python engine's two timer backends (heap and
- * calendar queue) and its per-delay FIFO lanes are *performance*
- * structures -- both dispatch in the identical total (time, seq)
- * order.  The compiled core therefore keeps a single packed heap: a
- * sift over 24-byte structs is allocation-free and cache-resident, so
- * the calendar's O(1)-append and the lanes' small-heap advantages have
- * nothing left to buy.  ``scheduler=`` selection semantics (including
+ * calendar queue) are *performance* structures -- both dispatch in the
+ * identical total (time, seq) order.  The compiled core therefore
+ * keeps a single packed heap: a sift over 24-byte structs is
+ * allocation-free and cache-resident, so the calendar's O(1)-append
+ * advantage has nothing left to buy.  ``scheduler=`` selection semantics (including
  * the deterministic auto-adoption density scan) are mirrored so the
  * reported backend matches the Python engine; dispatch order is
  * byte-identical on either backend of either core by construction.

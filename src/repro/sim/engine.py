@@ -6,8 +6,8 @@ are built on top of :meth:`Simulator.schedule`.
 
 Hot-path design notes
 ---------------------
-Queue entries are plain lists ``[time, seq, callback, args]`` rather
-than objects with an ``__lt__`` method: the timer queues then compare
+Queue entries are plain lists ``[time, seq, callback, args, single]``
+rather than objects with an ``__lt__`` method: the timer queues compare
 entries with C-level list comparison (time first, then the unique
 sequence number, never reaching the callback), which removes a
 Python-level method call per comparison.
@@ -44,23 +44,6 @@ rotation of mostly-empty buckets would otherwise be wasted work.  The
 adoption decision reads only simulator state, never the wall clock, so
 it is deterministic.
 
-**Per-delay-class FIFO lanes** sit in front of both timer backends.
-``call_after`` delays that repeat often (the fabric's link serialization
-constants, PHY latency, datalink processing and switch forwarding
-delays) are promoted to a dedicated lane: because the clock is monotonic
-and the delay is constant, entries of one lane are created in
-nondecreasing (time, seq) order, so a plain deque *is* already sorted.
-Only the lane's head entry is parked in the heap/calendar; when it is
-dispatched (or cancelled) the next entry of the lane is promoted into
-the backend.  The timer structures therefore hold at most one entry per
-lane instead of the whole in-flight population -- heap pushes shrink
-from O(log n) on thousands of entries to O(log lanes), and the calendar
-queue's same-day ``insort`` stops shifting long runs.  Dispatch order is
-exactly the (time, seq) order the un-laned queues would produce: the
-backend always contains each lane's minimum, and successors promoted at
-dispatch time carry times ``>= now`` with sequence numbers allocated at
-creation, so the timer-before-ready rule is unchanged.
-
 Cancellation clears the callback slot in place (``entry[2] = None``);
 cancelled entries are purged lazily when they surface, and
 :meth:`drain_cancelled` compacts eagerly when cancellations pile up.
@@ -80,13 +63,11 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: Queue-entry field indices.  Entries are ``[time, seq, callback, args,
-#: single, lane]``: ``single`` is True when ``args`` is one bare
-#: positional argument (the trampoline fast paths), False when it is a
-#: tuple.  ``lane`` is non-None exactly when the entry is the *head* of
-#: a per-delay FIFO lane parked in the timer backend (see the lane notes
-#: in the module docstring); the unique ``seq`` at index 1 guarantees
-#: list comparison never reaches it.
-_TIME, _SEQ, _CALLBACK, _ARGS, _SINGLE, _LANE = 0, 1, 2, 3, 4, 5
+#: single]``: ``single`` is True when ``args`` is one bare positional
+#: argument (the trampoline fast paths), False when it is a tuple; the
+#: unique ``seq`` at index 1 guarantees list comparison never reaches
+#: the callback.
+_TIME, _SEQ, _CALLBACK, _ARGS, _SINGLE = 0, 1, 2, 3, 4
 
 #: ``drain_cancelled`` runs automatically once at least this many
 #: cancelled entries are buried in the queues *and* they outnumber the
@@ -101,36 +82,6 @@ _AUTO_CALENDAR_MIN_PENDING = 16
 #: ... and their mean spacing is at most this many bucket widths (a
 #: dense population; sparse populations stay on the heap).
 _AUTO_CALENDAR_MAX_GAP_BUCKETS = 4
-
-#: A ``call_after`` delay value earns a dedicated FIFO lane once it has
-#: been scheduled this many times.  Fabric delays (link serialization
-#: per size class, PHY latency, datalink processing, switch forwarding)
-#: repeat millions of times, so the threshold only needs to filter out
-#: incidental repeats.
-_LANE_MIN_REPEATS = 128
-#: At most this many distinct delay classes get lanes; the fabric needs
-#: fewer than ten.
-_LANE_MAX_LANES = 8
-#: Lane machinery (repeat tracking, arming, parking) engages only
-#: while the *heap* holds at least this many entries.  Parking pays
-#: when the parked population is a large fraction of the heap -- a
-#: same-delay timer storm -- because every entry still reaches the
-#: backend eventually, one promotion at a time; what the lane buys is
-#: a smaller heap (cheaper O(log n) sifts) for everyone else in the
-#: meantime.  Steady-state fabric traffic over a few-thousand-entry
-#: heap parks only dozens of timers at a time, so the bookkeeping is a
-#: measured net loss there (~7% wall on the pair/star workloads at a
-#: 512 threshold); the gate is set above any steady-state workload
-#: depth and below degenerate storm depths.  It reads
-#: ``len(self._queue)``, which the calendar backend keeps empty: lanes
-#: never engage there, deliberately -- the calendar already gives O(1)
-#: far-future appends, and parking would turn those into per-dispatch
-#: same-day insorts.  Entries parked behind a busy head always stay in
-#: the lane (FIFO correctness) regardless of depth.
-_LANE_MIN_DEPTH = 8192
-#: Bound on the repeat-counting dict so arbitrary delay mixes (e.g.
-#: randomized backoff) cannot grow it without limit.
-_LANE_MAX_TRACKED = 64
 
 
 class SimulationError(RuntimeError):
@@ -168,7 +119,7 @@ def _reset_ccore_state() -> None:
 def _load_ccore(build: bool = False):
     """Import (optionally building) the compiled core, or return ``None``.
 
-    Fallback policy, mirroring the PR 9 fork-worker discipline:
+    Fallback policy:
 
     * extension simply not built (``ModuleNotFoundError``) -- silent:
       the pure-Python engine is a first-class peer, not a degraded mode;
@@ -300,8 +251,7 @@ class Simulator:
                  "_cal_shift", "_cal_mask", "_cal_active", "_cal_buckets",
                  "_cal_count", "_cal_day", "_cur", "_cur_idx",
                  "_auto_checked_pending", "_sanitize", "_san_last_time",
-                 "_san_last_seq", "_san_trace", "_lane_map", "_lane_seen",
-                 "_lane_count")
+                 "_san_last_seq", "_san_trace")
 
     def __new__(cls, scheduler: str = "auto", calendar_bucket_ns: int = 128,
                 calendar_buckets: int = 8192,
@@ -349,12 +299,6 @@ class Simulator:
         self._cur: List[list] = []  # sorted run for days <= _cal_day
         self._cur_idx = 0
         self._auto_checked_pending = 0
-        #: delay -> [deque of parked successors, head-in-backend flag].
-        self._lane_map: dict = {}  # simlint: disable=SIM006 -- bounded by _LANE_MAX_LANES
-        #: delay -> times seen; candidates for lane promotion.
-        self._lane_seen: dict = {}  # simlint: disable=SIM006 -- bounded by _LANE_MAX_TRACKED
-        #: Entries parked in lane deques (excluded from the backends).
-        self._lane_count = 0
         if scheduler == "calendar":
             self._activate_calendar()
 
@@ -435,8 +379,8 @@ class Simulator:
         """Pending queue entries, including not-yet-purged cancellations."""
         if self._cal_active:
             return (len(self._cur) - self._cur_idx + self._cal_count
-                    + len(self._ready) + self._lane_count)
-        return len(self._queue) + len(self._ready) + self._lane_count
+                    + len(self._ready))
+        return len(self._queue) + len(self._ready)
 
     # ------------------------------------------------------------------
     # Calendar backend plumbing
@@ -568,26 +512,6 @@ class Simulator:
         else:
             heappush(self._queue, entry)
 
-    def _promote_lane(self, lane: list) -> None:
-        """Move a lane's next live entry into the timer backend.
-
-        Called when the lane's current head leaves the backend
-        (dispatched or cancelled).  Cancelled parked entries are purged
-        on the way -- they never reach the backend, so the lazy-purge
-        accounting is settled here.  When the deque is empty the lane is
-        marked headless and the next ``call_after`` re-arms it.
-        """
-        pending = lane[0]
-        while pending:
-            nxt = pending.popleft()
-            self._lane_count -= 1
-            if nxt[_CALLBACK] is not None:
-                nxt[_LANE] = lane
-                self._push_timer(nxt)
-                return
-            self._cancelled -= 1
-        lane[1] = False
-
     def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
@@ -595,7 +519,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = [self._now + int(delay), self._seq, callback, args, False, None]
+        entry = [self._now + int(delay), self._seq, callback, args, False]
         self._seq += 1
         if delay == 0:
             self._ready.append(entry)
@@ -609,7 +533,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        entry = [int(time), self._seq, callback, args, False, None]
+        entry = [int(time), self._seq, callback, args, False]
         self._seq += 1
         if time == self._now:
             self._ready.append(entry)
@@ -624,7 +548,7 @@ class Simulator:
         callbacks whose delay is always zero; skips delay validation and
         the timer queue.
         """
-        entry = [self._now, self._seq, callback, value, True, None]
+        entry = [self._now, self._seq, callback, value, True]
         self._seq += 1
         self._ready.append(entry)
         return entry
@@ -638,50 +562,10 @@ class Simulator:
         performed.  Negative delays still raise -- a silent backwards
         clock would corrupt event ordering -- the guard merely folds
         into the queue-selection branch.
-
-        Delays that repeat at least ``_LANE_MIN_REPEATS`` times earn a
-        FIFO lane: while the lane's head sits in the timer backend,
-        later entries of the same delay park in the lane deque (an O(1)
-        append, no heap/insort work) and are promoted one at a time as
-        heads dispatch.  See the lane notes in the module docstring.
         """
-        entry = [self._now + delay, self._seq, callback, value, True, None]
+        entry = [self._now + delay, self._seq, callback, value, True]
         self._seq += 1
         if delay > 0:
-            # Lane logic only runs under pressure: either entries are
-            # parked in some lane (FIFO correctness demands same-delay
-            # traffic keeps flowing through that lane's deque) or the
-            # heap is deep enough that arming a head can pay.  The
-            # common shallow/calendar case pays one counter check and
-            # one len() here -- no dict lookups, no repeat tracking.
-            # A direct push past an armed-but-empty lane head is safe:
-            # the backend's global (time, seq) order covers it, and the
-            # head disarms itself at dispatch when its deque is empty.
-            if self._lane_count or len(self._queue) >= _LANE_MIN_DEPTH:
-                lane = self._lane_map.get(delay)
-                if lane is not None:
-                    if lane[1]:
-                        # A head of this lane is already parked in the
-                        # timer backend; queue behind it.  The clock is
-                        # monotonic and the delay constant, so the deque
-                        # stays in (time, seq) order by construction.
-                        lane[0].append(entry)
-                        self._lane_count += 1
-                        return entry
-                    if len(self._queue) >= _LANE_MIN_DEPTH:
-                        lane[1] = True
-                        entry[_LANE] = lane
-                elif len(self._lane_map) < _LANE_MAX_LANES:
-                    seen = self._lane_seen
-                    count = seen.get(delay, 0)
-                    if count >= _LANE_MIN_REPEATS:
-                        self._lane_map[delay] = lane = [deque(), False]
-                        if len(self._queue) >= _LANE_MIN_DEPTH:
-                            lane[1] = True
-                            entry[_LANE] = lane
-                        del seen[delay]
-                    elif count or len(seen) < _LANE_MAX_TRACKED:
-                        seen[delay] = count + 1
             if self._cal_active:
                 day = entry[0] >> self._cal_shift
                 if day <= self._cal_day:
@@ -714,14 +598,6 @@ class Simulator:
             handle[_CALLBACK] = None
             handle[_ARGS] = None
             self._cancelled += 1
-            lane = handle[_LANE]
-            if lane is not None:
-                # A lane head was cancelled while parked in the backend:
-                # promote its successor immediately so the backend keeps
-                # holding the lane's minimum (the dead head is purged
-                # lazily like any other cancelled backend entry).
-                handle[_LANE] = None
-                self._promote_lane(lane)
             if (self._cancelled >= _AUTO_DRAIN_MIN_CANCELLED
                     and self._cancelled * 2 >= len(self)):
                 self.drain_cancelled()
@@ -769,15 +645,6 @@ class Simulator:
                     if entry[_CALLBACK] is not None]
             self._ready.clear()
             self._ready.extend(live)
-        for delay in sorted(self._lane_map):
-            pending = self._lane_map[delay][0]
-            if pending:
-                live = [entry for entry in pending
-                        if entry[_CALLBACK] is not None]
-                if len(live) != len(pending):
-                    self._lane_count -= len(pending) - len(live)
-                    pending.clear()
-                    pending.extend(live)
         self._cancelled = 0
         return removed
 
@@ -853,12 +720,6 @@ class Simulator:
             # Mark the entry spent so a late cancel() is a no-op.
             entry[_CALLBACK] = None
             self._now = entry[_TIME]
-            lane = entry[_LANE]
-            if lane is not None:
-                if lane[0]:
-                    self._promote_lane(lane)
-                else:
-                    lane[1] = False
             self._event_count += 1
             if entry[_SINGLE]:
                 callback(entry[_ARGS])
@@ -986,17 +847,6 @@ class Simulator:
                 callback = entry[_CALLBACK]
                 # Mark the entry spent so a late cancel() is a no-op.
                 entry[_CALLBACK] = None
-                lane = entry[_LANE]
-                if lane is not None:
-                    # Promote the lane's successor before running the
-                    # callback so the backend holds the lane's minimum
-                    # again by the time the loop next consults it (and
-                    # even if the callback raises).  Empty lane: just
-                    # disarm inline, skipping the call.
-                    if lane[0]:
-                        self._promote_lane(lane)
-                    else:
-                        lane[1] = False
                 if entry[_SINGLE]:
                     callback(entry[_ARGS])
                 else:
@@ -1100,17 +950,6 @@ class Simulator:
                         now = self._now = time
                         executed += 1
                         entry[_CALLBACK] = None
-                        lane = entry[_LANE]
-                        if lane is not None:
-                            # Promoted successors insort into this same
-                            # run (always at or after ``idx``) or park in
-                            # a future bucket; either way the backend
-                            # holds the lane's minimum again before the
-                            # next dispatch.  Empty lane: disarm inline.
-                            if lane[0]:
-                                self._promote_lane(lane)
-                            else:
-                                lane[1] = False
                         if entry[_SINGLE]:
                             callback(entry[_ARGS])
                         else:
@@ -1128,12 +967,6 @@ class Simulator:
                 executed += 1
                 callback = entry[_CALLBACK]
                 entry[_CALLBACK] = None
-                lane = entry[_LANE]
-                if lane is not None:
-                    if lane[0]:
-                        self._promote_lane(lane)
-                    else:
-                        lane[1] = False
                 if entry[_SINGLE]:
                     callback(entry[_ARGS])
                 else:
@@ -1184,9 +1017,9 @@ class _CSimulator(Simulator):
     * ``scheduler``/``scheduler_policy`` report the same backend the
       Python engine would pick (the deterministic auto-adoption scan is
       mirrored), though the C core serves every backend from one packed
-      (time, seq) heap -- the calendar queue and FIFO lanes are
-      pure-Python *performance* structures with nothing left to buy at
-      C speed (see ``_ccore.c``).
+      (time, seq) heap -- the calendar queue is a pure-Python
+      *performance* structure with nothing left to buy at C speed (see
+      ``_ccore.c``).
 
     Divergence, deliberate and loud: delays/times must be ints
     (``__index__``); the compiled core raises ``TypeError`` where the

@@ -277,11 +277,11 @@ def test_sim007_flags_queue_access_outside_sim_tree():
     assert "_queue" in findings[0].message
 
 
-def test_sim007_flags_lane_and_calendar_state():
+def test_sim007_flags_calendar_state():
     findings = _lint("""
         def snoop(sim):
-            return len(sim._lane_map) + len(sim._cal_buckets)
-    """, rel_posix="src/repro/fabric/router2.py")
+            return len(sim._cal_buckets) + sim._cal_count
+    """, rel_posix="src/repro/fabric/switch2.py")
     assert _rules(findings) == ["SIM007", "SIM007"]
 
 

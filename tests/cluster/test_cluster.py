@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, ClusterLatencyCache
 from repro.core.channels.path import CachedFabricPath, FabricPath, size_class
+from repro.fabric.phy import RouterConfig
 from repro.runtime.tables import ResourceKind
 
 MB = 1024 * 1024
@@ -82,7 +83,7 @@ def test_cached_path_variants_keep_type_and_cache():
     assert isinstance(off_chip, CachedFabricPath)
     assert off_chip.cache is cluster.latency_cache
     assert isinstance(path.with_hops(2), CachedFabricPath)
-    assert isinstance(path.with_router(), CachedFabricPath)
+    assert isinstance(path.with_router(RouterConfig()), CachedFabricPath)
 
 
 def test_size_class_rounds_up_to_powers_of_two():

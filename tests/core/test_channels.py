@@ -9,7 +9,7 @@ from repro.core.channels.path import CachedFabricPath, FabricPath
 from repro.core.channels.qpair import QPairChannel, QPairRemoteMemoryBackend
 from repro.core.channels.rdma import RdmaChannel, RdmaSwapDevice
 from repro.core.config import ChannelPlacement, QPairConfig, RdmaConfig
-from repro.fabric.router import RouterConfig
+from repro.fabric.phy import RouterConfig
 
 MB = 1024 * 1024
 LINE = 32

@@ -11,6 +11,7 @@ heuristic.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import DeterministicRNG
@@ -65,6 +66,50 @@ def test_randomized_delay_mixes_dispatch_identically(seed):
     heap = dispatch_trace("heap", plan)
     calendar = dispatch_trace("calendar", plan)
     assert heap == calendar
+
+
+def _run_script(script, scheduler):
+    """Execute a schedule/cancel script; return the dispatch trace.
+
+    Each script step is ``(delay, cancel_flag)``: a driver callback
+    schedules one payload callback with that delay (0 goes to the ready
+    deque), then -- when the flag is set -- cancels an earlier pending
+    handle.  The driver re-arms itself with a small fixed delay, so
+    repeated delays keep many same-delay timers in flight at once.
+    Pinned to ``core="py"``: only the Python engine has a calendar
+    backend of its own to compare.
+    """
+    sim = Simulator(scheduler=scheduler, core="py")
+    trace = []
+    handles = []
+
+    def payload(index):
+        trace.append((sim.now, index))
+
+    def driver(index):
+        if index >= len(script):
+            return
+        delay, do_cancel = script[index]
+        handles.append(sim.call_after(delay, payload, index))
+        if do_cancel and len(handles) >= 2:
+            sim.cancel(handles[len(handles) // 2])
+        sim.call_after(3, driver, index + 1)
+
+    sim.call_after(1, driver, 0)
+    sim.run_until_idle()
+    assert len(sim) == 0
+    return trace
+
+
+_SCRIPT = st.lists(
+    st.tuples(st.sampled_from([0, 5, 5, 7, 7, 13, 64]), st.booleans()),
+    min_size=1, max_size=120)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SCRIPT)
+def test_calendar_matches_heap_dispatch_order_with_cancellations(script):
+    assert _run_script(script, "calendar") == _run_script(script, "heap")
 
 
 def test_same_time_events_keep_scheduling_order_on_calendar():

@@ -67,8 +67,8 @@ def _storm_trace(core: str, seed: int, scheduler: str) -> dict:
 
     for _ in range(150):
         handles.append(sim.schedule(rng.randrange(0, 1000), fire, next(tags)))
-    # A burst of repeated delays exercises the Python engine's FIFO
-    # lanes (the C core must match their order without having any).
+    # A burst of one repeated delay: many equal-time timers whose order
+    # rests on the sequence number alone.
     for _ in range(80):
         handles.append(sim.call_after(64, fire, next(tags)))
     executed = sim.run()

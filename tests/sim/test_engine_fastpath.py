@@ -170,3 +170,34 @@ def test_step_orders_heap_before_ready_at_same_time(sim):
     while sim.step():
         pass
     assert order == ["heap-parent", "parent", "child"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_rearming_call_after_respects_run_until_deadline(scheduler):
+    sim = Simulator(scheduler=scheduler)
+    fired = []
+
+    def rearm(value):
+        fired.append((sim.now, value))
+        sim.call_after(100, rearm, value + 1)
+
+    sim.call_after(100, rearm, 0)
+    sim.run(until=350)
+    assert fired == [(100, 0), (200, 1), (300, 2)]
+    assert sim.now == 350
+    # The pending continuation survives the deadline and resumes.
+    sim.run(until=500)
+    assert fired[-1] == (500, 4)
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_call_after_and_schedule_interleave_by_creation_order(scheduler):
+    sim = Simulator(scheduler=scheduler)
+    trace = []
+    sim.call_after(10, trace.append, "after-1")
+    sim.call_after(10, trace.append, "after-2")
+    sim.schedule(10, trace.append, "plain-between")
+    sim.call_after(10, trace.append, "after-3")
+    sim.run_until_idle()
+    # Global (time, seq) order: creation order at equal times.
+    assert trace == ["after-1", "after-2", "plain-between", "after-3"]
