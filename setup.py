@@ -1,9 +1,8 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``.  This shim
-exists so that ``pip install -e .`` works in offline environments that
-lack the ``wheel`` package required for PEP 660 editable installs, and
-it declares the optional compiled dispatch core so
+The project needs no installation: it runs from a checkout with
+``PYTHONPATH=src`` and the standard library alone.  This file only
+declares the optional compiled dispatch core, so that
 ``python setup.py build_ext --inplace`` builds it the conventional way
 (``python -m repro.sim._ccore_build`` is the setuptools-free
 equivalent).

@@ -12,9 +12,181 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
+class NoPathError(ValueError):
+    """Raised by :meth:`Graph.shortest_path` when the endpoints are disconnected."""
+
+
+class Graph:
+    """Undirected simple graph over integer nodes, in insertion order.
+
+    The adjacency is a dict of dicts: node order is first-insertion
+    order, and each neighbour dict keeps the order its edges were
+    added.  Those two orders fix :meth:`edges` order and the tie-breaking
+    between equal-length shortest paths, so every route and link-wiring
+    order depends only on the order the builders add edges in
+    (``tests/fabric/test_graph_parity.py`` pins both against the
+    reference graph library the routes were first computed with).
+    ``stamp`` counts mutations, so a cache keyed on it sees every edit.
+    """
+
+    __slots__ = ("_adj", "stamp")
+
+    def __init__(self) -> None:
+        self._adj: Dict[int, Dict[int, None]] = {}  # simlint: disable=SIM006 -- one entry per topology node, fixed by the builder
+        self.stamp = 0
+
+    def add_node(self, node: int) -> None:
+        if node not in self._adj:
+            self._adj[node] = {}
+            self.stamp += 1
+
+    def add_edge(self, u: int, v: int) -> None:
+        if u == v:
+            raise ValueError(f"self-loop on node {u} in a simple graph")
+        adj = self._adj
+        if u not in adj:
+            adj[u] = {}
+        if v not in adj:
+            adj[v] = {}
+        adj[u][v] = None
+        adj[v][u] = None
+        self.stamp += 1
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge {u}-{v} is not in the graph")
+        del self._adj[u][v]
+        del self._adj[v][u]
+        self.stamp += 1
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self._adj and v in self._adj[u]
+
+    def nodes(self) -> List[int]:
+        return list(self._adj)
+
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Each edge once, as (first-seen endpoint, other endpoint)."""
+        seen = set()
+        for node, nbrs in self._adj.items():
+            for nbr in nbrs:
+                if nbr not in seen:
+                    yield node, nbr
+            seen.add(node)
+
+    def neighbors(self, node: int) -> List[int]:
+        return list(self._adj[node])
+
+    def degree(self, node: int) -> int:
+        return len(self._adj[node])
+
+    def number_of_nodes(self) -> int:
+        return len(self._adj)
+
+    def copy(self) -> "Graph":
+        """A new graph rebuilt node by node, then edge by edge.
+
+        Edges are re-added in adjacency order, so a neighbour dict of
+        the copy can be ordered differently from the original's.  The
+        reference library's copy reorders the same way, which keeps path
+        tie-breaking on copies (fault re-routing) identical too.
+        """
+        graph = Graph()
+        for node in self._adj:
+            graph.add_node(node)
+        for node, nbrs in self._adj.items():
+            for nbr in nbrs:
+                graph.add_edge(node, nbr)
+        return graph
+
+    def shortest_path(self, source: int, target: int) -> List[int]:
+        """Node sequence (inclusive) of a fewest-hop path.
+
+        Bidirectional BFS that always grows the smaller fringe and stops
+        at the first node both searches have reached.  Among equal-length
+        paths the neighbour orders decide which one is returned.
+        """
+        for node in (source, target):
+            if node not in self._adj:
+                raise KeyError(f"node {node} is not in the graph")
+        pred, succ, meet = self._bidirectional_pred_succ(source, target)
+        path = []
+        node = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[path[-1]]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
+
+    def _bidirectional_pred_succ(self, source: int, target: int):
+        """(pred, succ, meet): BFS trees from ``meet`` back to each end."""
+        if source == target:
+            return {target: None}, {source: None}, source
+        adj = self._adj
+        pred: Dict[int, Optional[int]] = {source: None}
+        succ: Dict[int, Optional[int]] = {target: None}
+        forward_fringe = [source]
+        reverse_fringe = [target]
+        while forward_fringe and reverse_fringe:
+            if len(forward_fringe) <= len(reverse_fringe):
+                this_level = forward_fringe
+                forward_fringe = []
+                for v in this_level:
+                    for w in adj[v]:
+                        if w not in pred:
+                            forward_fringe.append(w)
+                            pred[w] = v
+                        if w in succ:
+                            return pred, succ, w
+            else:
+                this_level = reverse_fringe
+                reverse_fringe = []
+                for v in this_level:
+                    for w in adj[v]:
+                        if w not in succ:
+                            succ[w] = v
+                            reverse_fringe.append(w)
+                        if w in pred:
+                            return pred, succ, w
+        raise NoPathError(f"no path between {source} and {target}")
+
+    def _eccentricity(self, source: int) -> Tuple[int, int]:
+        """(nodes reached, largest hop distance) of a BFS from ``source``."""
+        seen = {source}
+        fringe = [source]
+        depth = -1
+        while fringe:
+            depth += 1
+            next_fringe = []
+            for v in fringe:
+                for w in self._adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        next_fringe.append(w)
+            fringe = next_fringe
+        return len(seen), depth
+
+    def is_connected(self) -> bool:
+        """True when every node reaches every other (vacuously if empty)."""
+        if not self._adj:
+            return True
+        return self._eccentricity(next(iter(self._adj)))[0] == len(self._adj)
+
+    def diameter(self) -> int:
+        """Largest shortest-path hop count over all node pairs."""
+        diameter = 0
+        for node in self._adj:
+            reached, depth = self._eccentricity(node)
+            if reached != len(self._adj):
+                raise ValueError("diameter is infinite: the graph is disconnected")
+            diameter = max(diameter, depth)
+        return diameter
 
 
 @dataclass
@@ -22,21 +194,17 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
     """A named interconnection topology over integer node identifiers."""
 
     name: str
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: Graph = field(default_factory=Graph)
     #: Optional grid coordinates for mesh topologies (node -> (x, y, z)).
     coordinates: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
     #: Nodes that are routers rather than compute nodes.
     router_nodes: List[int] = field(default_factory=list)
     #: (src, dst) -> shortest path.  The runtime layer asks for the same
     #: few routes on every request (policy ordering, path-usability
-    #: checks), and the graph is immutable once path queries begin --
-    #: builders finish the graph before returning, and fault injection
-    #: copies it before removing edges -- so the cache turns the
-    #: sharded-MN planning hot path's repeated BFS into dict hits.
-    #: Invalidation is keyed on the O(1) node count (edge counting walks
-    #: the adjacency in networkx, which would cost more than the BFS it
-    #: saves); code that adds an edge between *existing* nodes after
-    #: querying paths must call :meth:`invalidate_path_cache`.
+    #: checks), so the cache turns the sharded-MN planning hot path's
+    #: repeated BFS into dict hits.  Both caches are dropped whenever the
+    #: graph's mutation stamp moves, so any edit -- including an edge
+    #: between existing nodes -- is seen by the next query.
     _path_cache: Dict[Tuple[int, int], List[int]] = field(
         default_factory=dict, repr=False, compare=False)
     _hop_cache: Dict[Tuple[int, int], int] = field(
@@ -45,7 +213,7 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
 
     @property
     def nodes(self) -> List[int]:
-        return sorted(self.graph.nodes)
+        return sorted(self.graph.nodes())
 
     @property
     def compute_nodes(self) -> List[int]:
@@ -54,7 +222,7 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
 
     @property
     def links(self) -> List[Tuple[int, int]]:
-        return [tuple(sorted(edge)) for edge in self.graph.edges]
+        return [tuple(sorted(edge)) for edge in self.graph.edges()]
 
     def neighbors(self, node: int) -> List[int]:
         return sorted(self.graph.neighbors(node))
@@ -70,14 +238,8 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
                 len(self._cached_path(src, dst)) - 1
         return hops
 
-    def invalidate_path_cache(self) -> None:
-        """Drop memoized shortest paths after an in-place graph edit."""
-        self._path_cache.clear()
-        self._hop_cache.clear()
-        self._path_cache_stamp = -1
-
     def _check_path_stamp(self) -> None:
-        stamp = self.graph.number_of_nodes()
+        stamp = self.graph.stamp
         if stamp != self._path_cache_stamp:
             self._path_cache.clear()
             self._hop_cache.clear()
@@ -87,7 +249,7 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
         self._check_path_stamp()
         path = self._path_cache.get((src, dst))
         if path is None:
-            path = nx.shortest_path(self.graph, src, dst)
+            path = self.graph.shortest_path(src, dst)
             self._path_cache[(src, dst)] = path
         return path
 
@@ -129,12 +291,10 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
         return self.route_shape(src, dst)[1]
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph) if self.graph.number_of_nodes() else True
+        return self.graph.is_connected()
 
     def diameter(self) -> int:
-        if self.graph.number_of_nodes() <= 1:
-            return 0
-        return nx.diameter(self.graph)
+        return self.graph.diameter()
 
     def validate(self) -> None:
         """Raise if the topology is unusable (disconnected or empty)."""

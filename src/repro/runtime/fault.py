@@ -23,8 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
+from repro.fabric.topology import NoPathError
 from repro.runtime.monitor import AllocationError, MonitorNode
 from repro.runtime.tables import AllocationRecord, LinkStatus, ResourceKind
 
@@ -100,8 +99,8 @@ class FaultHandler:
         if graph.has_edge(*down_link):
             graph.remove_edge(*down_link)
         try:
-            return nx.shortest_path(graph, requester, donor)
-        except nx.NetworkXNoPath:
+            return graph.shortest_path(requester, donor)
+        except NoPathError:
             return None
 
     def _report_link(self, node_a: int, node_b: int,

@@ -1,8 +1,14 @@
 """Unit tests for topology builders and routing helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.fabric.topology import (
+    NoPathError,
     Topology,
     build_direct_pair,
     build_fat_tree,
@@ -132,3 +138,39 @@ def test_validate_rejects_empty_and_disconnected():
     disconnected.graph.add_node(2)
     with pytest.raises(ValueError):
         disconnected.validate()
+
+
+def test_adding_an_edge_after_a_query_changes_the_cached_path():
+    line = Topology(name="line")
+    for node in range(3):
+        line.graph.add_edge(node, node + 1)
+    assert line.shortest_path(0, 3) == [0, 1, 2, 3]
+    assert line.hop_count(0, 3) == 3
+    line.graph.add_edge(0, 3)
+    assert line.shortest_path(0, 3) == [0, 3]
+    assert line.hop_count(0, 3) == 1
+    line.graph.remove_edge(0, 3)
+    assert line.path_nodes(0, 3) == [0, 1, 2, 3]
+
+
+def test_graph_errors():
+    topo = build_direct_pair()
+    with pytest.raises(ValueError):
+        topo.graph.add_edge(1, 1)
+    with pytest.raises(ValueError):
+        topo.graph.remove_edge(0, 5)
+    with pytest.raises(KeyError):
+        topo.shortest_path(0, 5)
+    topo.graph.add_node(2)
+    with pytest.raises(NoPathError):
+        topo.shortest_path(0, 2)
+    with pytest.raises(ValueError):
+        topo.diameter()
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, repro.experiments.cli; "
+            "sys.exit('networkx' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,5 +1,11 @@
 """Unit tests for the deterministic RNG helpers."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim.rng import DeterministicRNG
@@ -19,14 +25,53 @@ def test_different_seeds_differ():
            [b.uniform_int(0, 10**9) for _ in range(5)]
 
 
-def test_fork_is_deterministic_and_independent():
-    parent_a = DeterministicRNG(7)
-    parent_b = DeterministicRNG(7)
-    child_a = parent_a.fork("cache")
-    child_b = parent_b.fork("cache")
-    assert child_a.uniform_int(0, 10**6) == child_b.uniform_int(0, 10**6)
-    other = parent_a.fork("link")
-    assert other.seed != child_a.seed
+RANGES = [(0, 0), (0, 1), (3, 7), (0, 99999), (0, 2**40), (-5, 5),
+          (1, 2**31 - 1), (7, 8), (0, 2**64 + 3)]
+
+
+@pytest.mark.parametrize("low, high", RANGES)
+def test_uniform_int_matches_randint_draw_for_draw(low, high):
+    for seed in range(25):
+        ours = DeterministicRNG(seed)
+        reference = random.Random(seed)
+        assert [ours.uniform_int(low, high) for _ in range(200)] == \
+               [reference.randint(low, high) for _ in range(200)]
+        # The generator state after the draws is identical too.
+        assert ours._random.random() == reference.random()
+
+
+def test_uniform_int_matches_randint_over_random_ranges():
+    picker = random.Random(99)
+    ours = DeterministicRNG(11)
+    reference = random.Random(11)
+    for _ in range(5000):
+        low = picker.randint(-10**6, 10**6)
+        high = low + picker.choice([0, 1, 2, 5, 100, 2**17, 2**33])
+        assert ours.uniform_int(low, high) == reference.randint(low, high)
+
+
+def test_uniform_int_empty_range_raises_like_randint():
+    with pytest.raises(ValueError) as ours:
+        DeterministicRNG(1).uniform_int(5, 3)
+    with pytest.raises(ValueError) as reference:
+        random.Random(1).randint(5, 3)
+    assert str(ours.value) == str(reference.value)
+
+
+def test_uniform_int_falls_back_to_randint_without_getrandbits_below():
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import random\n"
+        "random.Random._randbelow = random.Random._randbelow_without_getrandbits\n"
+        "from repro.sim import rng\n"
+        "assert not rng._INLINE_RANDINT\n"
+        "ours, reference = rng.DeterministicRNG(4), random.Random(4)\n"
+        "assert [ours.uniform_int(0, 999) for _ in range(300)] == "
+        "[reference.randint(0, 999) for _ in range(300)]\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_uniform_int_bounds():
