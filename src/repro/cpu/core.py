@@ -19,6 +19,11 @@ The core is analytic rather than event-driven: each primitive adds the
 appropriate latency to the core's clock.  This keeps multi-million
 operation workloads tractable while preserving the latency composition
 that the paper's experiments measure.
+
+A :class:`LockstepGroup` drives several cores whose hierarchies share
+one cache from a single workload run: each batch is looked up in the
+cache once and then served by every member, so one reference stream
+evaluates several memory configurations.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Set, Union
 
-from repro.cpu.hierarchy import DRAM, MemoryHierarchy
+from repro.cpu.hierarchy import DRAM, MemoryHierarchy, as_batch
+from repro.mem.cache import Cache
 from repro.sim.stats import Counter, StatsRegistry
 
 #: Core counter bumped per access, by the level that served it (indexed
@@ -118,6 +124,10 @@ class TimingCore:
     def now_ns(self) -> int:
         return int(self._now)
 
+    @property
+    def line_bytes(self) -> int:
+        return self.hierarchy.line_bytes
+
     def reset(self) -> None:
         """Reset the clock and accumulated time (keeps hierarchy state)."""
         self._now = 0.0
@@ -195,43 +205,32 @@ class TimingCore:
         ``_async`` forms when ``asynchronous``), so clocks and counters
         are bit-identical to those calls made one by one.
 
-        The stream is consumed lazily, :data:`STREAM_CHUNK` items at a
-        time, so a whole run never sits in memory.  If the stream or an
-        access raises, every earlier chunk has been applied in full; the
-        raising chunk's stalls, compute and latencies are not applied to
-        the core (the hierarchy has applied that chunk's accesses before
-        the failing one), and the exception propagates.
+        This is the one-member case of :meth:`LockstepGroup.execute`,
+        which holds the chunk loop and its exception contract.
         """
-        if stall_ns < 0:
-            raise ValueError("stall time must be non-negative")
-        items = iter(stream)
-        while True:
-            chunk = list(islice(items, STREAM_CHUNK))
-            if not chunk:
-                return
-            instructions, addresses, writes = zip(*chunk)
-            self._batch(instructions, addresses, writes, asynchronous, stall_ns)
+        LockstepGroup((self,)).execute(stream, asynchronous, stall_ns)
 
     def _batch(self, instructions: Optional[Sequence[Optional[float]]],
                addresses: Iterable[int], writes: Union[bool, Iterable[bool]],
                asynchronous: bool, stall_ns: float) -> List[int]:
-        """The one access loop behind every entry point.
+        """One batch through :func:`_lockstep_batch`; returns its latencies."""
+        (latencies,) = _lockstep_batch((self,), self.hierarchy.cache, instructions,
+                                       addresses, writes, asynchronous, stall_ns)
+        return latencies
 
-        ``instructions`` is None (no compute anywhere) or the per-access
-        instruction counts, None for an access with no compute before
-        it.  Nothing is applied to the core until the hierarchy has
-        served the whole batch.
+    def _apply(self, counts: Set[float], instructions, addresses, writes,
+               outcomes: List[Optional[int]], asynchronous: bool,
+               stall_ns: float) -> List[int]:
+        """Serve one looked-up batch and fold it into the core.
+
+        ``counts`` holds the batch's distinct instruction counts, already
+        checked to be non-negative.  Nothing is applied to the core until
+        the hierarchy has served the whole batch.
         """
-        elapsed_of = {}
-        if instructions is not None:
-            config = self.config
-            for count in set(instructions):
-                if count is not None:
-                    if count < 0:
-                        raise ValueError("instruction count must be non-negative")
-                    elapsed_of[count] = config.cycles_to_ns(
-                        count * config.cycles_per_instruction)
-        latencies, served = self.hierarchy.access_many(addresses, writes)
+        config = self.config
+        elapsed_of = {count: config.cycles_to_ns(count * config.cycles_per_instruction)
+                      for count in counts}
+        latencies, served = self.hierarchy.serve(addresses, writes, outcomes)
         if not served:
             return latencies
         now = self._now
@@ -241,7 +240,7 @@ class TimingCore:
         before = repeat(None) if instructions is None else instructions
         if asynchronous:
             outstanding = self._outstanding
-            window = self.config.max_outstanding
+            window = config.max_outstanding
             for count, latency in zip(before, latencies):
                 if count is not None:
                     if stall_ns:
@@ -328,3 +327,101 @@ class TimingCore:
             remote_accesses=self.stats.counter("remote_accesses").value,
             swap_accesses=self.stats.counter("swap_accesses").value,
         )
+
+
+def _lockstep_batch(cores: Sequence[TimingCore], cache: Cache,
+                    instructions: Optional[Sequence[Optional[float]]],
+                    addresses: Iterable[int], writes: Union[bool, Iterable[bool]],
+                    asynchronous: bool, stall_ns: float) -> List[List[int]]:
+    """The one access loop behind every entry point of a core or a group.
+
+    ``instructions`` is None (no compute anywhere) or the per-access
+    instruction counts, None for an access with no compute before it.
+    The batch is checked, looked up once in the cache the ``cores``
+    share, then served and applied by each core in turn.  Returns each
+    core's latencies.
+    """
+    counts = set() if instructions is None else set(instructions)
+    counts.discard(None)
+    if counts and min(counts) < 0:
+        raise ValueError("instruction count must be non-negative")
+    addresses, writes = as_batch(addresses, writes)
+    outcomes = cache.lookup_many(addresses, writes)
+    return [core._apply(counts, instructions, addresses, writes, outcomes,
+                        asynchronous, stall_ns) for core in cores]
+
+
+class LockstepGroup:
+    """Several cores driven by one workload run, in lockstep.
+
+    The members' hierarchies share one :class:`~repro.mem.cache.Cache`.
+    That cache holds tags only and is driven by addresses alone, so
+    every member would see the same hit/miss/victim sequence: the group
+    looks each batch up once, and each member then serves the misses
+    with its own prefetcher, swap, backend, counters and clock.  Every
+    member ends exactly as a solo run of the same calls leaves a core,
+    and the shared cache as a solo run leaves its cache.
+
+    A group offers the primitives an analytic workload calls --
+    :meth:`compute`, :meth:`stall`, :meth:`access_many`,
+    :meth:`execute` and :meth:`drain` -- but no clock read, so a
+    workload whose stream depends on timing cannot run on one.
+    """
+
+    def __init__(self, cores: Sequence[TimingCore]):
+        self.cores = tuple(cores)
+        if not self.cores:
+            raise ValueError("a lockstep group needs at least one core")
+        self.cache = self.cores[0].hierarchy.cache
+        if any(core.hierarchy.cache is not self.cache for core in self.cores):
+            raise ValueError("the cores of a lockstep group must share one Cache")
+
+    @property
+    def line_bytes(self) -> int:
+        return self.cache.config.line_bytes
+
+    def compute(self, instructions: float) -> None:
+        for core in self.cores:
+            core.compute(instructions)
+
+    def stall(self, nanoseconds: float) -> None:
+        for core in self.cores:
+            core.stall(nanoseconds)
+
+    def drain(self) -> None:
+        for core in self.cores:
+            core.drain()
+
+    def access_many(self, addresses: Iterable[int],
+                    writes: Union[bool, Iterable[bool]] = False,
+                    asynchronous: bool = False) -> None:
+        """:meth:`TimingCore.access_many` on every member."""
+        _lockstep_batch(self.cores, self.cache, None, addresses, writes,
+                        asynchronous, 0)
+
+    def execute(self, stream: Iterable[tuple], asynchronous: bool = False,
+                stall_ns: float = 0) -> None:
+        """:meth:`TimingCore.execute` on every member, from one pass of ``stream``.
+
+        The stream is consumed lazily, :data:`STREAM_CHUNK` items at a
+        time, so a whole run never sits in memory.  Whatever raises,
+        every earlier chunk has been applied in full to every member and
+        the exception propagates.  A chunk the stream raises in, or one
+        with a negative instruction count, is not applied at all.  Of a
+        chunk where an access raises: the cache has looked up all of it;
+        the members before the failing one have applied it in full; the
+        failing member's hierarchy has served its accesses before the
+        failing one, but its clock and core counters take nothing of the
+        chunk; later members have not seen it.
+        """
+        if stall_ns < 0:
+            raise ValueError("stall time must be non-negative")
+        cores, cache = self.cores, self.cache
+        items = iter(stream)
+        while True:
+            chunk = list(islice(items, STREAM_CHUNK))
+            if not chunk:
+                return
+            instructions, addresses, writes = zip(*chunk)
+            _lockstep_batch(cores, cache, instructions, addresses, writes,
+                            asynchronous, stall_ns)

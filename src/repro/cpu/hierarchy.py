@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.mem.cache import HIT, Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
@@ -69,6 +69,15 @@ CACHE, DRAM, REMOTE, SWAP = range(4)
 #: SWAP in the table covers everything beyond visible memory that is
 #: not hot-plugged remote memory.
 _UNMAPPED = 4
+
+
+def as_batch(addresses: Iterable[int], writes: Union[bool, Iterable[bool]]) -> tuple:
+    """``(addresses, writes)`` as indexable sequences; one flag stays a bool."""
+    if addresses.__class__ not in (list, tuple, range):
+        addresses = list(addresses)
+    if writes.__class__ is not bool and writes.__class__ not in (list, tuple):
+        writes = list(writes)
+    return addresses, writes
 
 
 class MemoryHierarchy:
@@ -127,21 +136,26 @@ class MemoryHierarchy:
         ``writes`` is one flag for every access or a sequence of
         per-access flags.  ``latencies[i]`` is the latency of access ``i``
         and ``SOURCES[served[i]]`` the level that served it.  The cache
-        looks up the whole batch first (nothing else touches it while
-        the misses are served); every other side effect (prefetcher,
-        swap, backend, counters) then happens in access order, exactly
-        as for the same accesses made one at a time.  If serving a miss
-        raises, the cache holds the whole batch, the accesses before the
-        failing one have been served and counted, and the exception
-        propagates.
+        looks up the whole batch first, then :meth:`serve` serves the
+        misses; if serving one raises, the cache holds the whole batch.
         """
-        if addresses.__class__ not in (list, tuple, range):
-            addresses = list(addresses)
-        uniform = writes.__class__ is bool
-        if not uniform and writes.__class__ not in (list, tuple):
-            writes = list(writes)
-        outcomes = self.cache.lookup_many(addresses, writes)
+        addresses, writes = as_batch(addresses, writes)
+        return self.serve(addresses, writes, self.cache.lookup_many(addresses, writes))
 
+    def serve(self, addresses: Sequence[int], writes: Union[bool, Sequence[bool]],
+              outcomes: Sequence[Optional[int]]) -> tuple:
+        """Serve a batch the cache has looked up; return ``(latencies, served)``.
+
+        ``outcomes`` is what :meth:`Cache.lookup_many` returned for
+        ``addresses`` and ``writes`` (both as :func:`as_batch` gives
+        them).  The cache is not touched again, so several hierarchies
+        over one cache can each serve the same lookup.  Every other side
+        effect (prefetcher, swap, backend, counters) happens in access
+        order, exactly as for the same accesses made one at a time.  If
+        serving a miss raises, the accesses before the failing one have
+        been served and counted, and the exception propagates.
+        """
+        uniform = writes.__class__ is bool
         line, hit_ns, miss_ns, dram_ns = self._line, self._hit_ns, self._miss_ns, self._dram_ns
         backend = self.remote_backend
         swap = self.swap

@@ -11,7 +11,7 @@ per-figure drivers stay readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.channels.backend import (
     CrossTrafficDriver,
@@ -31,6 +31,7 @@ from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
 from repro.mem.memory_map import PhysicalMemoryMap
 from repro.mem.swap import SwapConfig, SwapDevice, SwapManager
+from repro.workloads.base import Workload, WorkloadResult
 
 #: Address-space slack reserved above the dataset so writebacks of the
 #: top-most cache lines still fall inside visible memory.
@@ -183,19 +184,42 @@ class ExperimentPlatform:
     # ------------------------------------------------------------------
     # Core builders for the paper's memory-supply strategies
     # ------------------------------------------------------------------
-    def _core(self, hierarchy: MemoryHierarchy) -> TimingCore:
+    def run_configurations(self, workload: Workload,
+                           builders: Sequence[Callable[..., TimingCore]]
+                           ) -> List[WorkloadResult]:
+        """Run ``workload`` once per memory configuration; one result each.
+
+        Each builder is a core builder of this platform with its
+        arguments bound (``functools.partial``), called with
+        ``cache=``.  On the closed-form platform the cores are built
+        over one shared cache and run as one lockstep group, so the
+        workload's stream and its cache simulation run once for all of
+        them.  On the event platform every channel drives one shared
+        simulator, so interleaving the cores' operations would change
+        their timing: each core is built and run on its own, in order.
+        """
+        if self.backend != "closed_form":
+            return [workload.run(build()) for build in builders]
+        cache = Cache(self.cache)
+        return workload.run_all([build(cache=cache) for build in builders])
+
+    def _core(self, memory_map: PhysicalMemoryMap, cache: Optional[Cache],
+              **parts) -> TimingCore:
+        hierarchy = MemoryHierarchy(
+            memory_map, cache=cache if cache is not None else Cache(self.cache),
+            dram=Dram(self.dram), **parts)
         return TimingCore(hierarchy, config=self.cpu)
 
-    def all_local_core(self, dataset_bytes: int) -> TimingCore:
+    def all_local_core(self, dataset_bytes: int,
+                       cache: Optional[Cache] = None) -> TimingCore:
         """Ideal configuration: the whole dataset fits in local memory."""
         memory_map = PhysicalMemoryMap(dataset_bytes + _SLACK_BYTES, node_id=0)
-        hierarchy = MemoryHierarchy(memory_map, cache=Cache(self.cache),
-                                    dram=Dram(self.dram))
-        return self._core(hierarchy)
+        return self._core(memory_map, cache)
 
     def swap_core(self, dataset_bytes: int, local_bytes: int,
                   device: SwapDevice, page_bytes: int = 4096,
-                  fault_overhead_ns: int = 8000) -> TimingCore:
+                  fault_overhead_ns: int = 8000,
+                  cache: Optional[Cache] = None) -> TimingCore:
         """Dataset paged against ``local_bytes`` of resident frames.
 
         Models the conventional configuration: the OS keeps
@@ -216,13 +240,12 @@ class ExperimentPlatform:
                        fault_overhead_ns=fault_overhead_ns),
             device=device,
         )
-        hierarchy = MemoryHierarchy(memory_map, cache=Cache(self.cache),
-                                    dram=Dram(self.dram), swap=swap)
-        return self._core(hierarchy)
+        return self._core(memory_map, cache, swap=swap)
 
     def remote_backend_core(self, dataset_bytes: int, local_bytes: int,
                             backend: RemoteMemoryBackend,
-                            donor_node: int = 1) -> TimingCore:
+                            donor_node: int = 1,
+                            cache: Optional[Cache] = None) -> TimingCore:
         """Dataset split: ``local_bytes`` local, the rest remote via ``backend``.
 
         Models direct remote memory access (hot-plugged region served by
@@ -236,32 +259,35 @@ class ExperimentPlatform:
         remote_bytes = dataset_bytes - local_bytes + _SLACK_BYTES
         memory_map.hot_plug_remote(remote_bytes, donor_node=donor_node,
                                    donor_base=0, label="experiment-remote")
-        hierarchy = MemoryHierarchy(memory_map, cache=Cache(self.cache),
-                                    dram=Dram(self.dram), remote_backend=backend)
-        return self._core(hierarchy)
+        return self._core(memory_map, cache, remote_backend=backend)
 
     def crma_core(self, dataset_bytes: int, local_bytes: int,
                   placement: ChannelPlacement = ChannelPlacement.ON_CHIP,
-                  through_router: bool = False) -> TimingCore:
+                  through_router: bool = False,
+                  cache: Optional[Cache] = None) -> TimingCore:
         """Remote portion of the dataset served by the CRMA channel."""
         backend = CrmaRemoteBackend(self.crma_channel(placement, through_router))
-        return self.remote_backend_core(dataset_bytes, local_bytes, backend)
+        return self.remote_backend_core(dataset_bytes, local_bytes, backend,
+                                        cache=cache)
 
     def qpair_memory_core(self, dataset_bytes: int, local_bytes: int,
                           placement: ChannelPlacement = ChannelPlacement.ON_CHIP,
                           through_router: bool = False,
-                          remote_handler_ns: int = 14_000) -> TimingCore:
+                          remote_handler_ns: int = 14_000,
+                          cache: Optional[Cache] = None) -> TimingCore:
         """Remote portion accessed by explicit QPair request/response."""
         backend = QPairRemoteMemoryBackend(
             self.qpair_channel(placement, through_router),
             donor_dram=Dram(self.dram),
             remote_handler_ns=remote_handler_ns,
         )
-        return self.remote_backend_core(dataset_bytes, local_bytes, backend)
+        return self.remote_backend_core(dataset_bytes, local_bytes, backend,
+                                        cache=cache)
 
     def rdma_swap_core(self, dataset_bytes: int, local_bytes: int,
                        placement: ChannelPlacement = ChannelPlacement.ON_CHIP,
-                       through_router: bool = False) -> TimingCore:
+                       through_router: bool = False,
+                       cache: Optional[Cache] = None) -> TimingCore:
         """Remote portion supplied as swap space over the RDMA channel."""
         device = RdmaSwapDevice(self.rdma_channel(placement, through_router))
-        return self.swap_core(dataset_bytes, local_bytes, device)
+        return self.swap_core(dataset_bytes, local_bytes, device, cache=cache)

@@ -20,6 +20,7 @@ to the all-local-memory configuration, exactly as in the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict
 
 from repro.analysis.metrics import slowdown_versus
@@ -68,28 +69,30 @@ def run_fig03(config: Fig03Config = None,
     config = config or Fig03Config()
     platform = platform or ExperimentPlatform()
 
-    def run_on(core) -> int:
-        return _workload(config).run(core).total_time_ns
-
-    baseline_ns = run_on(platform.all_local_core(config.dataset_bytes))
-
-    times: Dict[str, int] = {}
-    times["ethernet_swap"] = run_on(platform.swap_core(
-        config.dataset_bytes, config.local_bytes, EthernetSwapDevice()))
-    times["infiniband_srp"] = run_on(platform.swap_core(
-        config.dataset_bytes, config.local_bytes, InfinibandSrpSwapDevice()))
-    times["pcie_rdma"] = run_on(platform.swap_core(
-        config.dataset_bytes, config.local_bytes, PcieRdmaSwapDevice()))
-    # The load/store configurations place the whole array in the remote
-    # window (a contiguous allocation cannot straddle the local/remote
-    # boundary), which is what makes the commodity chip's per-read
-    # penalty so punishing.
-    times["pcie_ldst_commodity"] = run_on(platform.remote_backend_core(
-        config.dataset_bytes, local_bytes=0,
-        backend=PcieLoadStoreBackend(commodity_chip_limit=True)))
-    times["pcie_ldst_fixed"] = run_on(platform.remote_backend_core(
-        config.dataset_bytes, local_bytes=0,
-        backend=PcieLoadStoreBackend(commodity_chip_limit=False)))
+    dataset, local = config.dataset_bytes, config.local_bytes
+    builders = {
+        "all_local": partial(platform.all_local_core, dataset),
+        "ethernet_swap": partial(platform.swap_core, dataset, local,
+                                 EthernetSwapDevice()),
+        "infiniband_srp": partial(platform.swap_core, dataset, local,
+                                  InfinibandSrpSwapDevice()),
+        "pcie_rdma": partial(platform.swap_core, dataset, local,
+                             PcieRdmaSwapDevice()),
+        # The load/store configurations place the whole array in the
+        # remote window (a contiguous allocation cannot straddle the
+        # local/remote boundary), which is what makes the commodity
+        # chip's per-read penalty so punishing.
+        "pcie_ldst_commodity": partial(
+            platform.remote_backend_core, dataset, local_bytes=0,
+            backend=PcieLoadStoreBackend(commodity_chip_limit=True)),
+        "pcie_ldst_fixed": partial(
+            platform.remote_backend_core, dataset, local_bytes=0,
+            backend=PcieLoadStoreBackend(commodity_chip_limit=False)),
+    }
+    results = platform.run_configurations(_workload(config), tuple(builders.values()))
+    times: Dict[str, int] = {name: result.total_time_ns
+                             for name, result in zip(builders, results)}
+    baseline_ns = times.pop("all_local")
 
     slowdowns = {name: slowdown_versus(value, baseline_ns)
                  for name, value in times.items()}

@@ -24,13 +24,15 @@ operation keeps the paper's compute-to-communication balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from functools import partial
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import slowdown_versus
 from repro.analysis.report import FigureReport
 from repro.core.config import ChannelPlacement
 from repro.cpu.core import TimingCore
 from repro.experiments.common import ExperimentPlatform
+from repro.mem.cache import Cache
 from repro.workloads.kvstore import KeyValueConfig, TransactionalKeyValueWorkload
 from repro.workloads.pagerank import PageRankConfig, PageRankWorkload
 
@@ -97,70 +99,78 @@ def _berkeleydb(config: Fig05Config) -> TransactionalKeyValueWorkload:
 
 
 def build_core(platform: ExperimentPlatform, configuration: str,
-               dataset_bytes: int, through_router: bool = False) -> TimingCore:
-    """Core whose memory is supplied per one of the five configurations."""
+               dataset_bytes: int, through_router: bool = False,
+               cache: Optional[Cache] = None) -> TimingCore:
+    """Core whose memory is supplied per ``configuration``.
+
+    One of the five :data:`CONFIGURATIONS`, or ``"all_local"`` (the
+    baseline).
+    """
+    if configuration == "all_local":
+        return platform.all_local_core(dataset_bytes, cache=cache)
     if configuration == "off_chip_qpair":
         return platform.qpair_memory_core(dataset_bytes, local_bytes=0,
                                           placement=ChannelPlacement.OFF_CHIP,
-                                          through_router=through_router)
+                                          through_router=through_router, cache=cache)
     if configuration in ("on_chip_qpair", "async_on_chip_qpair"):
         return platform.qpair_memory_core(dataset_bytes, local_bytes=0,
                                           placement=ChannelPlacement.ON_CHIP,
-                                          through_router=through_router)
+                                          through_router=through_router, cache=cache)
     if configuration == "off_chip_crma":
         return platform.crma_core(dataset_bytes, local_bytes=0,
                                   placement=ChannelPlacement.OFF_CHIP,
-                                  through_router=through_router)
+                                  through_router=through_router, cache=cache)
     if configuration == "on_chip_crma":
         return platform.crma_core(dataset_bytes, local_bytes=0,
                                   placement=ChannelPlacement.ON_CHIP,
-                                  through_router=through_router)
+                                  through_router=through_router, cache=cache)
     raise ValueError(f"unknown configuration {configuration!r}")
 
 
 def measure_times(config: Fig05Config = None, platform: ExperimentPlatform = None,
-                  through_router: bool = False) -> Dict[str, Dict[str, float]]:
-    """Absolute execution times for both workloads, all configurations.
+                  configurations: Sequence[str] = ("all_local",) + CONFIGURATIONS,
+                  router_settings: Sequence[bool] = (False,)
+                  ) -> Dict[str, Dict[Tuple[str, bool], float]]:
+    """Absolute execution times for both workloads.
 
-    Returns ``{"pagerank": {...}, "berkeleydb": {...}}`` with an extra
-    ``"all_local"`` entry per workload -- reused by the Figure 6 driver.
+    Returns ``{"pagerank": {...}, "berkeleydb": {...}}``, each keyed by
+    ``(configuration, through_router)`` for every configuration and
+    router setting asked for -- the Figure 6 driver asks for both router
+    settings.  Each workload runs once for all of its cores.
     """
     config = config or Fig05Config()
     platform = platform or ExperimentPlatform()
-    times: Dict[str, Dict[str, float]] = {"pagerank": {}, "berkeleydb": {}}
-
-    def run(workload_factory: Callable, core: TimingCore) -> float:
-        return float(workload_factory().run(core).total_time_ns)
-
-    times["pagerank"]["all_local"] = run(
-        lambda: _pagerank(config, asynchronous=False),
-        platform.all_local_core(config.remote_dataset_bytes))
-    times["berkeleydb"]["all_local"] = run(
-        lambda: _berkeleydb(config),
-        platform.all_local_core(config.remote_dataset_bytes))
-
-    for configuration in CONFIGURATIONS:
-        asynchronous = configuration == "async_on_chip_qpair"
-        # The asynchronous rewrite replaces transparent loads with
-        # explicit user-level QPair operations, so every access pays the
-        # post-send / reap-completion software cost even though the
-        # fabric latency itself is overlapped.
-        qpair = platform.venice.qpair
-        per_access_overhead = (qpair.post_send_ns + qpair.completion_ns
-                               if asynchronous else 0)
-        pagerank_core = build_core(platform, configuration,
-                                   config.remote_dataset_bytes, through_router)
-        times["pagerank"][configuration] = run(
-            lambda: _pagerank(config, asynchronous=asynchronous,
-                              per_access_overhead_ns=per_access_overhead),
-            pagerank_core)
+    # The asynchronous rewrite replaces transparent loads with explicit
+    # user-level QPair operations, so every access pays the post-send /
+    # reap-completion software cost even though the fabric latency
+    # itself is overlapped.  Its stream differs from the synchronous
+    # one, so it runs on its own cores.
+    qpair = platform.venice.qpair
+    asynchronous_pagerank = _pagerank(
+        config, asynchronous=True,
+        per_access_overhead_ns=qpair.post_send_ns + qpair.completion_ns)
+    runs = (
+        ("pagerank", _pagerank(config, asynchronous=False),
+         [name for name in configurations if name != "async_on_chip_qpair"]),
+        ("pagerank", asynchronous_pagerank,
+         [name for name in configurations if name == "async_on_chip_qpair"]),
         # BerkeleyDB cannot exploit asynchrony: the client checks each
         # query's return status before issuing the next one, so the
         # async configuration degenerates to the synchronous one.
-        berkeleydb_core = build_core(platform, configuration,
-                                     config.remote_dataset_bytes, through_router)
-        times["berkeleydb"][configuration] = run(
-            lambda: _berkeleydb(config), berkeleydb_core)
+        ("berkeleydb", _berkeleydb(config), list(configurations)),
+    )
+    times: Dict[str, Dict[Tuple[str, bool], float]] = {"pagerank": {}, "berkeleydb": {}}
+    for name, workload, names in runs:
+        keys = [(configuration, routed) for configuration in names
+                for routed in router_settings]
+        if not keys:
+            continue
+        results = platform.run_configurations(workload, [
+            partial(build_core, platform, configuration,
+                    config.remote_dataset_bytes, routed)
+            for configuration, routed in keys])
+        for key, result in zip(keys, results):
+            times[name][key] = float(result.total_time_ns)
     return times
 
 
@@ -178,8 +188,8 @@ def run_fig05(config: Fig05Config = None,
     )
     for workload, reference in (("pagerank", PAPER_REFERENCE_PAGERANK),
                                 ("berkeleydb", PAPER_REFERENCE_BERKELEYDB)):
-        baseline = times[workload]["all_local"]
-        slowdowns = {name: slowdown_versus(times[workload][name], baseline)
+        baseline = times[workload][("all_local", False)]
+        slowdowns = {name: slowdown_versus(times[workload][(name, False)], baseline)
                      for name in CONFIGURATIONS}
         report.add_series(workload, slowdowns, reference=reference)
     return report

@@ -43,8 +43,8 @@ def run_fig06(config: Fig05Config = None,
     """Measure router-induced overheads and return the report."""
     config = config or Fig05Config()
     platform = platform or ExperimentPlatform()
-    direct_times = measure_times(config, platform, through_router=False)
-    routed_times = measure_times(config, platform, through_router=True)
+    times = measure_times(config, platform, CONFIGURATIONS,
+                          router_settings=(False, True))
 
     report = FigureReport(
         figure_id="fig06",
@@ -56,8 +56,8 @@ def run_fig06(config: Fig05Config = None,
     for workload, reference in (("pagerank", PAPER_REFERENCE_PAGERANK),
                                 ("berkeleydb", PAPER_REFERENCE_BERKELEYDB)):
         overheads = {
-            name: percent_overhead(routed_times[workload][name],
-                                   direct_times[workload][name])
+            name: percent_overhead(times[workload][(name, True)],
+                                   times[workload][(name, False)])
             for name in CONFIGURATIONS
         }
         report.add_series(workload, overheads, reference=reference)

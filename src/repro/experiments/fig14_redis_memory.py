@@ -21,6 +21,7 @@ Paper observations reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List
 
 from repro.analysis.report import FigureReport
@@ -75,16 +76,13 @@ def _redis_workload(config: Fig14Config, capacity_bytes: int) -> RedisCacheWorkl
 
 
 def _run_point(platform: ExperimentPlatform, config: Fig14Config,
-               capacity_bytes: int, remote: bool):
-    """One sweep point: returns (execution time ns, miss rate)."""
-    if remote:
-        core = platform.crma_core(capacity_bytes,
-                                  local_bytes=min(config.local_memory_bytes,
-                                                  capacity_bytes))
-    else:
-        core = platform.all_local_core(capacity_bytes)
-    result = _redis_workload(config, capacity_bytes).run(core)
-    return result.total_time_ns, result.metric("miss_rate")
+               capacity_bytes: int):
+    """One sweep point: ``(local, remote)`` Redis results."""
+    local_bytes = min(config.local_memory_bytes, capacity_bytes)
+    return platform.run_configurations(
+        _redis_workload(config, capacity_bytes),
+        (partial(platform.all_local_core, capacity_bytes),
+         partial(platform.crma_core, capacity_bytes, local_bytes=local_bytes)))
 
 
 def run_fig14(config: Fig14Config = None,
@@ -101,12 +99,11 @@ def run_fig14(config: Fig14Config = None,
     for capacity in MEMORY_SWEEP_BYTES:
         label = f"{capacity // (1024 * 1024)}MB"
         labels.append(label)
-        t_local, m_local = _run_point(platform, config, capacity, remote=False)
-        t_remote, m_remote = _run_point(platform, config, capacity, remote=True)
-        time_local[label] = float(t_local)
-        time_remote[label] = float(t_remote)
-        miss_local[label] = m_local * 100.0
-        miss_remote[label] = m_remote * 100.0
+        local, remote = _run_point(platform, config, capacity)
+        time_local[label] = float(local.total_time_ns)
+        time_remote[label] = float(remote.total_time_ns)
+        miss_local[label] = local.metric("miss_rate") * 100.0
+        miss_remote[label] = remote.metric("miss_rate") * 100.0
 
     first, last = labels[0], labels[-1]
     summary = {

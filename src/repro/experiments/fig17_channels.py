@@ -19,11 +19,14 @@ channels, normalised to the best-performing channel for that scenario:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import partial
+from typing import Dict, Optional
 
 from repro.analysis.report import FigureReport
 from repro.core.channels.collaboration import AccessDemand, AdaptiveChannelSelector, ChannelChoice
 from repro.experiments.common import ExperimentPlatform
+from repro.mem.cache import Cache
+from repro.workloads.base import Workload
 from repro.workloads.connected_components import (
     ConnectedComponentsConfig,
     ConnectedComponentsWorkload,
@@ -58,34 +61,43 @@ class Fig17Config:
     seed: int = 47
 
 
-def _kv_time_ns(platform: ExperimentPlatform, config: Fig17Config, channel: str) -> float:
+def _kv_times_ns(platform: ExperimentPlatform, config: Fig17Config) -> Dict[str, float]:
     workload = KeyValueWorkload(KeyValueConfig(
         dataset_bytes=config.dataset_bytes, num_queries=config.kv_queries,
         instructions_per_query=400, seed=config.seed))
-    core = _memory_core(platform, config.dataset_bytes, channel)
-    return float(workload.run(core).total_time_ns)
+    return _times_ns(platform, workload, config.dataset_bytes)
 
 
-def _cc_time_ns(platform: ExperimentPlatform, config: Fig17Config, channel: str) -> float:
+def _cc_times_ns(platform: ExperimentPlatform, config: Fig17Config) -> Dict[str, float]:
     workload = ConnectedComponentsWorkload(ConnectedComponentsConfig(
         num_vertices=config.cc_vertices, num_edges=config.cc_edges,
         iterations=2, seed=config.seed))
-    core = _memory_core(platform, workload.config.dataset_bytes, channel)
-    return float(workload.run(core).total_time_ns)
+    return _times_ns(platform, workload, workload.config.dataset_bytes)
 
 
-def _memory_core(platform: ExperimentPlatform, dataset_bytes: int, channel: str):
+def _times_ns(platform: ExperimentPlatform, workload: Workload,
+              dataset_bytes: int) -> Dict[str, float]:
+    """Execution time of ``workload`` per channel, from one run for all."""
+    results = platform.run_configurations(workload, [
+        partial(_memory_core, platform, dataset_bytes, channel) for channel in CHANNELS])
+    return {channel: float(result.total_time_ns)
+            for channel, result in zip(CHANNELS, results)}
+
+
+def _memory_core(platform: ExperimentPlatform, dataset_bytes: int, channel: str,
+                 cache: Optional[Cache] = None):
     """Core whose remote data is reached over the requested channel."""
     if channel == "crma":
-        return platform.crma_core(dataset_bytes, local_bytes=0)
+        return platform.crma_core(dataset_bytes, local_bytes=0, cache=cache)
     if channel == "qpair":
-        return platform.qpair_memory_core(dataset_bytes, local_bytes=0)
+        return platform.qpair_memory_core(dataset_bytes, local_bytes=0, cache=cache)
     if channel == "rdma":
         # Remote data reached at page granularity over the RDMA block
         # device; as in the Figure 15 setup, a quarter of the dataset
         # stays in local resident frames.
         return platform.rdma_swap_core(dataset_bytes,
-                                       local_bytes=max(4096, dataset_bytes // 4))
+                                       local_bytes=max(4096, dataset_bytes // 4),
+                                       cache=cache)
     raise ValueError(f"unknown channel {channel!r}")
 
 
@@ -119,10 +131,12 @@ def run_fig17(config: Fig17Config = None,
     # Performance = 1/time for the memory scenarios, bandwidth for iPerf.
     scenarios: Dict[str, Dict[str, float]] = {}
     scenarios["inmem_db_random"] = {
-        channel: 1e12 / _kv_time_ns(platform, config, channel) for channel in CHANNELS
+        channel: 1e12 / time_ns
+        for channel, time_ns in _kv_times_ns(platform, config).items()
     }
     scenarios["cc_contiguous"] = {
-        channel: 1e12 / _cc_time_ns(platform, config, channel) for channel in CHANNELS
+        channel: 1e12 / time_ns
+        for channel, time_ns in _cc_times_ns(platform, config).items()
     }
     scenarios["iperf_messaging"] = {
         channel: _messaging_bandwidth_gbps(platform, config, channel)

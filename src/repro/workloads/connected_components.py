@@ -11,11 +11,11 @@ sequential edge-list scan, this workload favours bulk transfers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Dict, Iterator
 
-from repro.cpu.core import TimingCore
+from repro.cpu.core import LockstepGroup, TimingCore
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
 @dataclass
 class ConnectedComponentsConfig:
@@ -61,12 +61,12 @@ class ConnectedComponentsWorkload(Workload):
             for _ in range(self.config.num_edges)
         ]
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         for _ in range(config.iterations):
             core.execute(self._iteration())
-        return self._finish(core, edges_processed=config.iterations * len(self._edges),
-                            iterations=config.iterations)
+        return dict(edges_processed=config.iterations * len(self._edges),
+                    iterations=config.iterations)
 
     def _iteration(self) -> Iterator[tuple]:
         """One label-propagation pass: per edge, compute, the sequential

@@ -18,10 +18,10 @@ targets for both local and remote accelerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cpu.core import TimingCore
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -64,7 +64,7 @@ class FftOffloadWorkload(Workload):
         if not self.targets:
             raise ValueError("FFT offload needs at least one accelerator target")
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore) -> Dict[str, float]:
         config = self.config
         # Busy-until time per accelerator target (they work in parallel).
         # Blocks are dispatched greedily to the target that will finish
@@ -90,5 +90,5 @@ class FftOffloadWorkload(Workload):
         makespan = max(busy_until) if busy_until else core.now_ns
         if makespan > core.now_ns:
             core.stall(makespan - core.now_ns)
-        return self._finish(core, blocks_dispatched=dispatched,
-                            accelerators=len(self.targets))
+        return dict(blocks_dispatched=dispatched,
+                    accelerators=len(self.targets))

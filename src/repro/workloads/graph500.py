@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
-from repro.cpu.core import TimingCore
-from repro.workloads.base import Workload, WorkloadResult
+from repro.cpu.core import LockstepGroup, TimingCore
+from repro.workloads.base import Workload
 from repro.workloads.rmat import RmatConfig, RmatGenerator
 
 @dataclass
@@ -77,13 +77,13 @@ class Graph500Workload(Workload):
             offsets.append(len(targets))
         return offsets, targets
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         tally = [0, 0]  # vertices visited, edges traversed
         for root_index in range(config.num_roots):
             core.execute(self._bfs((root_index * 7919) % config.num_vertices, tally))
-        return self._finish(core, edges_traversed=tally[1],
-                            vertices_visited=tally[0])
+        return dict(edges_traversed=tally[1],
+                    vertices_visited=tally[0])
 
     def _bfs(self, root: int, tally: List[int]) -> Iterator[tuple]:
         """The stream of one breadth-first search from ``root``.

@@ -11,10 +11,10 @@ all-local configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Dict, Iterator
 
-from repro.cpu.core import TimingCore
-from repro.workloads.base import Workload, WorkloadResult
+from repro.cpu.core import LockstepGroup, TimingCore
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -50,12 +50,12 @@ class GrepWorkload(Workload):
     def __init__(self, config: GrepConfig = None):
         self.config = config or GrepConfig()
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         records = range(0, config.num_records, config.stride_records)
-        core.execute(self._scan(records, core.hierarchy.line_bytes))
-        return self._finish(core, records_scanned=len(records),
-                            bytes_scanned=len(records) * config.record_bytes)
+        core.execute(self._scan(records, core.line_bytes))
+        return dict(records_scanned=len(records),
+                    bytes_scanned=len(records) * config.record_bytes)
 
     def _scan(self, records: range, line_bytes: int) -> Iterator[tuple]:
         """The scan's stream: match compute, then the record's lines."""

@@ -14,11 +14,11 @@ latency -- unlike PageRank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
-from repro.cpu.core import TimingCore
+from repro.cpu.core import LockstepGroup, TimingCore
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.base import Workload, WorkloadResult, record_address, record_lines
+from repro.workloads.base import Workload, record_address, record_lines
 
 
 @dataclass
@@ -62,20 +62,15 @@ class KeyValueWorkload(Workload):
     def __init__(self, config: KeyValueConfig = None):
         self.config = config or KeyValueConfig()
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         tally = [0]  # writes
-        core.execute(self._queries(core.hierarchy.line_bytes, tally),
+        core.execute(self._queries(core.line_bytes, tally),
                      stall_ns=config.per_query_overhead_ns)
         writes = tally[0]
         reads = config.num_queries - writes
-        return self._finish(
-            core,
-            queries=config.num_queries,
-            reads=reads,
-            writes=writes,
-            read_fraction=reads / config.num_queries,
-        )
+        return dict(queries=config.num_queries, reads=reads, writes=writes,
+                    read_fraction=reads / config.num_queries)
 
     def _queries(self, line_bytes: int, tally: List[int]) -> Iterator[tuple]:
         """Per query: its compute, then every line of one random record."""
@@ -113,12 +108,12 @@ class TransactionalKeyValueWorkload(Workload):
         self.config = config or KeyValueConfig()
         self.queries_per_transaction = queries_per_transaction
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         transactions = max(1, self.config.num_queries // self.queries_per_transaction)
-        core.execute(self._transactions(transactions, core.hierarchy.line_bytes),
+        core.execute(self._transactions(transactions, core.line_bytes),
                      stall_ns=self.config.per_query_overhead_ns)
-        return self._finish(core, transactions=transactions,
-                            queries=transactions * self.queries_per_transaction)
+        return dict(transactions=transactions,
+                    queries=transactions * self.queries_per_transaction)
 
     def _transactions(self, transactions: int, line_bytes: int) -> Iterator[tuple]:
         """Per query: its compute, then every line of one random record;

@@ -14,11 +14,11 @@ accumulating writes into the destination-contribution array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Dict, Iterator
 
-from repro.cpu.core import TimingCore
+from repro.cpu.core import LockstepGroup, TimingCore
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
 @dataclass
 class PageRankConfig:
@@ -73,15 +73,15 @@ class PageRankWorkload(Workload):
         dst_rank_base = src_rank_base + config.rank_array_bytes
         return edge_base, src_rank_base, dst_rank_base
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         rng = DeterministicRNG(config.seed)
         for _ in range(config.iterations):
             core.execute(self._iteration(rng), asynchronous=config.asynchronous,
                          stall_ns=config.per_access_overhead_ns)
             core.drain()
-        return self._finish(core, edges_processed=config.iterations * config.num_edges,
-                            iterations=config.iterations)
+        return dict(edges_processed=config.iterations * config.num_edges,
+                    iterations=config.iterations)
 
     def _iteration(self, rng: DeterministicRNG) -> Iterator[tuple]:
         """One pass over the edge list: per edge, compute, the edge, the

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Dict
 
-from repro.cpu.core import TimingCore
+from repro.cpu.core import LockstepGroup, TimingCore
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.base import Workload, WorkloadResult, touch_record
+from repro.workloads.base import Workload, touch_record
 
 
 @dataclass
@@ -141,10 +142,10 @@ class RedisCacheWorkload(Workload):
         self.backing_store = backing_store or MysqlBackingStore()
         self.warm = warm
 
-    def run(self, core: TimingCore) -> WorkloadResult:
+    def _drive(self, core: TimingCore | LockstepGroup) -> Dict[str, float]:
         config = self.config
         rng = DeterministicRNG(config.seed)
-        line_bytes = core.hierarchy.line_bytes
+        line_bytes = core.line_bytes
         # Pre-populate with an arbitrary prefix of the key space, as the
         # paper measures after "proper initialization and warmup".
         capacity = config.cache_capacity_records
@@ -169,10 +170,5 @@ class RedisCacheWorkload(Workload):
                 touch_record(core, address, config.record_bytes, line_bytes,
                              is_write=True)
         total = hits + misses
-        return self._finish(
-            core,
-            queries=total,
-            hits=hits,
-            misses=misses,
-            miss_rate=misses / total if total else 0.0,
-        )
+        return dict(queries=total, hits=hits, misses=misses,
+                    miss_rate=misses / total if total else 0.0)

@@ -19,6 +19,11 @@ reference twin recomputes every fill.
 analytic workloads send -- is checked against the same stream made of
 ``compute()`` + ``access_many()`` calls, group by group, across its
 chunk boundaries and for its mid-stream exception contract.
+
+A ``LockstepGroup`` -- several cores over one cache, driven by one
+stream -- is checked against solo cores, for its exception contract
+with one failing member, and for the ``ExperimentPlatform`` entry
+point that groups cores only on the closed-form backend.
 """
 
 import heapq
@@ -29,15 +34,18 @@ import pytest
 from repro.core.channels.backend import ClosedFormBackend
 from repro.core.channels.crma import CrmaChannel, CrmaRemoteBackend
 from repro.core.channels.path import FabricPath
-from repro.cpu.core import STREAM_CHUNK, CpuConfig, TimingCore
+from repro.cpu.core import STREAM_CHUNK, CpuConfig, LockstepGroup, TimingCore
 from repro.cpu.hierarchy import MemoryHierarchy, RemoteMemoryBackend
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import Dram, DramConfig
 from repro.mem.memory_map import MemoryMapError, PhysicalMemoryMap, RegionKind
 from repro.mem.prefetch import PrefetcherConfig, StreamPrefetcher
+from repro.experiments.common import ExperimentPlatform
 from repro.mem.swap import LocalDiskSwapDevice, SwapConfig, SwapManager
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import StatsRegistry
+from repro.workloads.base import Workload
+from repro.workloads.fft_offload import FftOffloadConfig, FftOffloadWorkload
 
 KB = 1024
 CACHE = CacheConfig(size_bytes=4 * KB, line_bytes=32, associativity=2,
@@ -283,9 +291,12 @@ class RefCore:
 # Twin systems
 # ----------------------------------------------------------------------
 class Twins:
-    """The batched system and the reference, built and mutated alike."""
+    """The batched system and the reference, built and mutated alike.
 
-    def __init__(self, layout):
+    ``cache`` is the batched hierarchy's cache (a fresh one by default).
+    """
+
+    def __init__(self, layout, cache=None):
         self.maps = []
         for _ in range(2):
             if layout == "swap":
@@ -310,7 +321,8 @@ class Twins:
         else:
             self.backends = [DriftingBackend() if remote else None for _ in range(2)]
         self.hierarchy = MemoryHierarchy(
-            self.maps[0], cache=Cache(CACHE), dram=Dram(DramConfig()),
+            self.maps[0], cache=cache if cache is not None else Cache(CACHE),
+            dram=Dram(DramConfig()),
             remote_backend=self.backends[0], swap=self.swaps[0],
             prefetcher=StreamPrefetcher(PREFETCH))
         self.core = TimingCore(self.hierarchy, config=CPU)
@@ -667,3 +679,167 @@ def test_execute_rejects_negative_compute_before_touching_the_chunk():
     assert core_state(streamed) == core_state(grouped)
     with pytest.raises(ValueError, match="non-negative"):
         streamed.core.execute(iter(items[:1]), stall_ns=-1)
+
+
+# ----------------------------------------------------------------------
+# LockstepGroup: several cores over one cache, driven by one stream
+# ----------------------------------------------------------------------
+def lockstep(layouts):
+    """Twins over one shared cache, and the group of their cores."""
+    cache = Cache(CACHE)
+    members = [Twins(layout, cache=cache) for layout in layouts]
+    return members, LockstepGroup([twins.core for twins in members])
+
+
+def cache_sets(twins):
+    return [list(cache_set.items()) for cache_set in twins.hierarchy.cache._sets]
+
+
+def without_cache(state):
+    """``core_state`` without the cache's registry (index 2)."""
+    clocks, registries = state
+    return clocks, registries[:2] + registries[3:]
+
+
+@pytest.mark.parametrize("asynchronous", [False, True])
+def test_group_matches_solo_cores(asynchronous):
+    layouts = ("mixed", "crma", "swap")
+    members, group = lockstep(layouts)
+    solos = [Twins(layout) for layout in layouts]
+    items = list(as_stream(stream_groups(31, members[0], 2 * STREAM_CHUNK + 9)))
+    for target in [group] + [twins.core for twins in solos]:
+        target.execute(iter(items), asynchronous=asynchronous, stall_ns=12.5)
+        target.compute(77)
+        target.stall(3.25)
+        target.access_many([64, 160 * KB, 96], [True, False, True],
+                           asynchronous=asynchronous)
+        target.drain()
+    for twins, solo in zip(members, solos):
+        # Clocks and every registry, the shared cache's included, match
+        # a solo core; so do the shared cache's sets.
+        assert core_state(twins) == core_state(solo)
+        assert cache_sets(twins) == cache_sets(solo)
+    assert group.line_bytes == CACHE.line_bytes
+
+
+def test_group_members_must_share_one_cache():
+    with pytest.raises(ValueError, match="share one Cache"):
+        LockstepGroup([Twins("local").core, Twins("local").core])
+    with pytest.raises(ValueError, match="at least one core"):
+        LockstepGroup([])
+    # Workload.run_all groups its cores, so it refuses them too.
+    members = [Twins("local").core, Twins("local").core]
+    with pytest.raises(ValueError, match="share one Cache"):
+        RecordingWorkload([]).run_all(members)
+
+
+def test_group_rejects_negative_compute_before_touching_the_cache():
+    layouts = ("local", "crma")
+    members, group = lockstep(layouts)
+    items = list(as_stream(stream_groups(23, members[0], STREAM_CHUNK + 3)))
+    items[STREAM_CHUNK + 1] = (-1, items[STREAM_CHUNK + 1][1], False)
+    with pytest.raises(ValueError, match="non-negative"):
+        group.execute(iter(items))
+    # Every member, and the shared cache, hold exactly the first chunk.
+    for layout, twins in zip(layouts, members):
+        solo = Twins(layout)
+        solo.core.execute(iter(items[:STREAM_CHUNK]))
+        assert core_state(twins) == core_state(solo)
+        assert cache_sets(twins) == cache_sets(solo)
+
+
+def test_group_member_error_leaves_the_documented_partial_state():
+    # Only the middle member has no swap: an access beyond visible
+    # memory fails there and nowhere else.
+    members, group = lockstep(("mixed", "remote", "crma"))
+    items = list(as_stream(stream_groups(21, members[1], 2 * STREAM_CHUNK + 10)))
+    failing = STREAM_CHUNK + 5
+    items[failing] = (items[failing][0], BAD_ADDRESS, False)
+    with pytest.raises(RuntimeError, match="exceeds visible memory"):
+        group.execute(iter(items), stall_ns=12)
+    raising_chunk_end = 2 * STREAM_CHUNK
+
+    # The cache looked up the whole raising chunk...
+    looked_up = sum(members[0].hierarchy.cache.stats.snapshot().get(key, 0)
+                    for key in ("reads", "writes"))
+    assert looked_up == raising_chunk_end
+    # ...the member before the failing one applied all of it...
+    before = Twins("mixed")
+    before.core.execute(iter(items[:raising_chunk_end]), stall_ns=12)
+    assert core_state(members[0]) == core_state(before)
+    assert cache_sets(members[0]) == cache_sets(before)
+    # ...the failing member's core holds the first chunk only, while its
+    # hierarchy served the raising chunk up to the failing access...
+    failed = Twins("remote")
+    failed.core.execute(iter(items[:STREAM_CHUNK]), stall_ns=12)
+    ours, theirs = without_cache(core_state(members[1])), without_cache(core_state(failed))
+    assert ours[0] == theirs[0]
+    assert ours[1][0] == theirs[1][0]  # core counters
+    prefix = items[STREAM_CHUNK:failing]
+    failed.hierarchy.access_many([address for _, address, _ in prefix],
+                                 [is_write for _, _, is_write in prefix])
+    assert without_cache(core_state(members[1])) == without_cache(core_state(failed))
+    # ...and the member after it has not seen the raising chunk.
+    after = Twins("crma")
+    after.core.execute(iter(items[:STREAM_CHUNK]), stall_ns=12)
+    assert without_cache(core_state(members[2])) == without_cache(core_state(after))
+
+
+class FixedTarget:
+    """An accelerator that takes the same time for every task."""
+
+    def task_latency_ns(self, input_bytes, output_bytes, elements):
+        return 5_000
+
+
+def test_fft_offload_fails_loudly_in_a_group():
+    workload = FftOffloadWorkload(FftOffloadConfig(dataset_bytes=4 * KB, block_bytes=KB),
+                                  targets=[FixedTarget()])
+    members, _ = lockstep(("local", "local"))
+    # Its dispatch reads the core's clock, which a group does not offer.
+    with pytest.raises(AttributeError, match="now_ns"):
+        workload.run_all([twins.core for twins in members])
+    assert workload.run(Twins("local").core).total_time_ns >= 4 * 5_000
+
+
+class RecordingWorkload(Workload):
+    """Logs what it runs on; one compute burst per run."""
+
+    name = "recording"
+
+    def __init__(self, log):
+        self.log = log
+
+    def _drive(self, core):
+        self.log.append(("run", type(core).__name__))
+        core.compute(10)
+        return {"runs": 1}
+
+
+@pytest.mark.parametrize("backend", ["closed_form", "event"])
+def test_platform_groups_cores_only_on_the_closed_form_backend(backend):
+    platform = ExperimentPlatform(backend=backend)
+    log, cores = [], []
+
+    def builder(index):
+        def build(cache=None):
+            log.append(("build", index))
+            cores.append(platform.all_local_core(64 * KB, cache=cache))
+            return cores[-1]
+        return build
+
+    results = platform.run_configurations(RecordingWorkload(log),
+                                          [builder(0), builder(1), builder(2)])
+    if backend == "closed_form":
+        # Built over one cache from the start, then run as one group.
+        assert log == [("build", 0), ("build", 1), ("build", 2),
+                       ("run", "LockstepGroup")]
+        assert len({id(core.hierarchy.cache) for core in cores}) == 1
+    else:
+        # Every channel drives one shared simulator: one core at a time.
+        assert log == [("build", 0), ("run", "TimingCore"),
+                       ("build", 1), ("run", "TimingCore"),
+                       ("build", 2), ("run", "TimingCore")]
+        assert len({id(core.hierarchy.cache) for core in cores}) == 3
+    assert [result.execution for result in results] == [core.result() for core in cores]
+    assert all(result.metrics == {"runs": 1} for result in results)

@@ -1,6 +1,6 @@
 """Default-size digest check of the analytic paper figures.
 
-Runs fig05, fig06, fig14, fig15 and fig17 exactly as
+Runs fig03, fig05, fig06, fig14, fig15 and fig17 exactly as
 ``python -m repro.experiments <id>`` does (default configs), hashes
 each report's full-precision canonical JSON (``FigureReport.digest``,
 as ``PINNED_REPORT_DIGESTS`` in ``test_figures.py`` does) and compares it with
@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.experiments.cli import run_experiment
 
 DIGESTS_PATH = Path(__file__).resolve().with_suffix(".json")
-IDS = ("fig05", "fig06", "fig14", "fig15", "fig17")
+IDS = ("fig03", "fig05", "fig06", "fig14", "fig15", "fig17")
 
 
 def main(argv=None) -> int:
