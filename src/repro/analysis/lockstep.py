@@ -60,8 +60,8 @@ def lockstep_cross_check(build: Callable[[Simulator], None],
     """Run ``build``'s workload on both backends and diff dispatch order.
 
     ``build`` receives a fresh sanitizing :class:`Simulator` and must
-    set up the workload (schedule events, build a fabric, spawn
-    processes); it is called twice, once per backend, so it must be a
+    set up the workload (schedule events, build a fabric, inject
+    traffic); it is called twice, once per backend, so it must be a
     pure constructor -- any state it closes over is shared between the
     two runs.  Both simulators then run to idleness (or ``until`` /
     ``max_events``) with dispatch tracing on, and the traces are

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 ORDER_SENSITIVE_CALLS = frozenset({
     "schedule", "schedule_at", "call_soon", "call_after", "_call_after",
     "_call_soon", "schedule_replenish", "inject", "send_and_forget",
-    "offer", "spawn",
+    "offer",
 })
 
 #: Function-name fragments that mark a module as order-sensitive even

@@ -11,18 +11,18 @@ Implements the mechanisms described in Section 5.1.1:
 
 Hot-path design notes
 ---------------------
-Both directions are event-equivalent callback chains; a clean packet
+Both directions are callback chains; a clean packet
 costs two scheduled events at this layer (sender processing, receiver
 processing) plus an amortised fraction of one coalesced credit-return
 flush.  When the forward link is idle at enqueue time the sender
 processing event is *folded* into the serialization event (the
 busy-horizon fold, :meth:`PhysicalLink.reserve_fused_tx`): both delays
 are fixed at enqueue, so one fused event covers processing +
-serialization and the uncontended per-hop event count drops by one.  The sender takes its credit synchronously when one is available
+serialization and the uncontended per-hop event count drops by one.
+The sender takes its credit synchronously when one is available
 (:meth:`CreditPool.try_take`, no event allocated) and only joins the
 pool's waiter FIFO when stalled; the receiver serialises processing
-through a busy flag and a deque instead of a Store + drain process, so
-no generator is resumed per packet.  Credit returns go through
+through a busy flag and a deque.  Credit returns go through
 :meth:`CreditPool.schedule_replenish`, which batches every credit freed
 within one return-latency window into a single wakeup pass.
 """
@@ -77,7 +77,7 @@ class DataLink:
                  "_sink", "_processing_ns", "_call_after", "_rx_queue",
                  "_rx_busy", "_pending_replay", "_replay_attempts",
                  "_next_sequence", "_credits_owed", "_credit_batch",
-                 "_send_name", "_sf_pending", "_sanitize")
+                 "_sf_pending", "_sanitize")
 
     def __init__(self, sim: Simulator, forward_link: PhysicalLink,
                  config: Optional[DataLinkConfig] = None, name: str = "datalink",
@@ -115,7 +115,6 @@ class DataLink:
         self._credits_owed = 0
         self._credit_batch = max(1, min(self.config.credit_batch,
                                         self.config.credits // 2))
-        self._send_name = f"{name}.send"
         #: Packets between send_and_forget's credit request and grant.
         self._sf_pending: Deque[Packet] = deque()
         self._sanitize = bool(getattr(sim, "sanitize", False))
@@ -128,35 +127,15 @@ class DataLink:
         """Register the upper-layer receive callback on the far side."""
         self._sink = sink
 
-    def send(self, packet: Packet):
-        """Process generator: reliably transmit one packet.
-
-        Yields until a credit is available, the packet is accepted by
-        the physical link, and (for corrupted packets) any replays have
-        completed.  Delivery to the remote sink happens asynchronously.
-        """
-        yield self.credits.take(1)
-        packet.sequence = self._allocate_sequence()
-        self._pending_replay[packet.sequence] = packet
-        yield self.config.processing_latency_ns
-        yield self.forward_link.send(packet)
-        self._ctr_sent.value += 1
-        return packet.sequence
-
     def send_and_forget(self, packet: Packet) -> None:
         """Transmit one packet asynchronously (the per-hop fast path).
 
-        Same latencies and event schedule as spawning :meth:`send` as a
-        process, but as a callback chain: the credit is taken
-        synchronously when available (no event, no allocation) and a
-        stalled packet joins the pool's waiter FIFO.  Ordering among
-        ``send_and_forget`` packets is strictly FIFO.  Relative to a
-        *process-based* :meth:`send` issued at the same timestamp, the
-        synchronous take can run before that process's deferred resume,
-        so mixed-path ordering at one instant is deterministic but not
-        creation-order FIFO; the event fabric uses only this path.
-        ``try_take`` and ``_sf_begin`` are inlined here -- this runs
-        once per packet per hop.
+        A callback chain: the credit is taken synchronously when
+        available (no event, no allocation) and a stalled packet joins
+        the pool's waiter FIFO, so packets take sequence numbers strictly
+        in call order.  Delivery to the remote sink happens
+        asynchronously, after any replays.  ``try_take`` is inlined here
+        -- this runs once per packet per hop.
         """
         pool = self.credits
         # _sf_pending must be empty too: after a coalesced flush grants a
@@ -219,11 +198,6 @@ class DataLink:
     def _sf_sent(self, _value=None) -> None:
         self._ctr_sent.value += 1
 
-    def _allocate_sequence(self) -> int:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        return sequence
-
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
@@ -233,8 +207,7 @@ class DataLink:
         # (the signature CRC xor a non-zero error syndrome) never
         # matches and a clean packet's always does, so the per-packet
         # check reduces exactly to the corruption flag and the CRC
-        # itself need not be computed on the per-packet fast path.  See
-        # :func:`repro.fabric.crc.packet_crc` for the signature CRC.
+        # itself is never computed.
         if packet.corrupted:
             self._ctr_crc_errors.value += 1
             self._request_replay(packet)

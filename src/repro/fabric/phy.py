@@ -9,18 +9,16 @@ and ``extra_delay_ns`` knobs.
 
 Hot-path design notes
 ---------------------
-Transmission is an event-equivalent callback chain, not a pump process:
-:meth:`PhysicalLink.offer` starts serializing immediately when the link
-is idle, and :meth:`_tx_complete` chains straight into the next queued
-packet's serialization at the same timestamp.  A packet therefore costs
-exactly two scheduled events on the link (serialization end, delivery)
-and zero allocations on the accepted path -- the acceptance
-:class:`SimEvent` is only materialised for blocked senders or for
-process-based callers of :meth:`send`.  When the link is idle the
-datalink layer goes one step further and folds its own processing delay
-into the serialization event via :meth:`PhysicalLink.reserve_fused_tx`
-(the busy-horizon fold), skipping the intermediate hand-off event
-entirely.
+Transmission is a callback chain: :meth:`PhysicalLink.offer` starts
+serializing immediately when the link is idle, and :meth:`_tx_complete`
+chains straight into the next queued packet's serialization at the same
+timestamp.  A packet therefore costs exactly two scheduled events on the
+link (serialization end, delivery) and zero allocations on the accepted
+path -- the acceptance :class:`SimEvent` is only materialised for
+senders blocked on a full queue.  When the link is idle the datalink
+layer goes one step further and folds its own processing delay into the
+serialization event via :meth:`PhysicalLink.reserve_fused_tx` (the
+busy-horizon fold), skipping the intermediate hand-off event entirely.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.process import SimEvent
+from repro.sim.resources import SimEvent
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import StatsRegistry
 from repro.fabric.packet import Packet
@@ -123,8 +121,7 @@ class PhysicalLink:
         if config.queue_capacity <= 0:
             # A zero-slot queue would strand blocked senders forever:
             # waiters are only admitted when a queued packet starts
-            # serializing.  (The previous Store-based queue enforced the
-            # same bound.)
+            # serializing.
             raise ValueError(
                 f"queue_capacity must be positive, got {config.queue_capacity}")
         self.sim = sim
@@ -186,13 +183,15 @@ class PhysicalLink:
         return len(self._tx_queue)
 
     def offer(self, packet: Packet) -> Optional[SimEvent]:
-        """Accept ``packet`` for transmission (the per-hop fast path).
+        """Accept ``packet`` for transmission.
 
         Returns ``None`` when the packet is accepted immediately (link
         idle, or transmit-queue space available) -- no event allocated.
         When the queue is full, the packet joins the blocked-sender FIFO
-        and the returned :class:`SimEvent` fires on acceptance (the
-        backpressure point for upper layers).
+        and the returned :class:`SimEvent` fires when a queued packet
+        starts serializing and frees its slot for this one (the
+        backpressure point for upper layers, which register a callback
+        with :meth:`SimEvent.add_waiter`).
         """
         self._ctr_offered.value += 1
         if not self._tx_busy:
@@ -236,21 +235,6 @@ class PhysicalLink:
         serialization = self.config.serialization_ns(packet.wire_bytes)
         self._ctr_busy_ns.value += serialization
         return serialization
-
-    def send(self, packet: Packet) -> SimEvent:
-        """Enqueue a packet for transmission.
-
-        The returned event fires when the packet has been accepted into
-        the transmit queue; process-based callers yield it.  Callback
-        chains use :meth:`offer` instead, which only allocates the
-        event on the blocked path.
-        """
-        pending = self.offer(packet)
-        if pending is not None:
-            return pending
-        event = SimEvent(self.sim, name=self._send_name)
-        event._succeeded = True
-        return event
 
     def busy_fraction(self) -> float:
         """Fraction of elapsed time the link spent serializing packets."""

@@ -2,14 +2,12 @@
 
 The engine is deliberately small and dependency-free.  It provides:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop and clock.
-* generator-based *processes* (:mod:`repro.sim.process`) that model
-  concurrent hardware/software activities and communicate through
-  events, queues and resources.
-* :mod:`repro.sim.resources` -- blocking queues, counting resources and
-  credit pools used to model buffers, ports and flow control.
-* :mod:`repro.sim.stats` -- counters, time-weighted gauges and
-  histograms for collecting measurements during a run.
+* :class:`~repro.sim.engine.Simulator` -- the event loop and clock;
+  hardware and software activities are callback chains scheduled on it.
+* :mod:`repro.sim.resources` -- one-shot :class:`SimEvent` callbacks and
+  the :class:`CreditPool` used for credit-based flow control.
+* :mod:`repro.sim.stats` -- named counters for collecting measurements
+  during a run.
 * :mod:`repro.sim.rng` -- deterministic random-number helpers so that
   every experiment is reproducible from a seed.
 
@@ -17,26 +15,16 @@ Time is kept as an integer number of **nanoseconds**.
 """
 
 from repro.sim.engine import Simulator, SimulationError
-from repro.sim.process import Process, Delay, WaitEvent, SimEvent, AllOf, AnyOf
-from repro.sim.resources import Store, Resource, CreditPool
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
+from repro.sim.resources import SimEvent, CreditPool
+from repro.sim.stats import Counter, StatsRegistry
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
     "Simulator",
     "SimulationError",
-    "Process",
-    "Delay",
-    "WaitEvent",
     "SimEvent",
-    "AllOf",
-    "AnyOf",
-    "Store",
-    "Resource",
     "CreditPool",
     "Counter",
-    "Gauge",
-    "Histogram",
     "StatsRegistry",
     "DeterministicRNG",
 ]

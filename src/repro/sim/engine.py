@@ -1,8 +1,8 @@
 """Core discrete-event simulation loop.
 
 The :class:`Simulator` owns the virtual clock and a priority queue of
-scheduled callbacks.  Higher-level abstractions (processes, resources)
-are built on top of :meth:`Simulator.schedule`.
+scheduled callbacks.  Higher-level abstractions (events, credit pools,
+the fabric's callback chains) are built on top of its scheduling calls.
 
 Hot-path design notes
 ---------------------
@@ -12,7 +12,7 @@ entries with C-level list comparison (time first, then the unique
 sequence number, never reaching the callback), which removes a
 Python-level method call per comparison.
 
-Zero-delay events -- process resumes, event wake-ups and other
+Zero-delay events -- event wake-ups and other
 callbacks scheduled *at the current timestamp while it is being
 processed* -- bypass the timer queue entirely and go to a FIFO *ready*
 deque.  This preserves the global (time, seq) execution order: every
@@ -544,7 +544,7 @@ class Simulator:
     def call_soon(self, callback: Callable[..., None], value: Any = None) -> list:
         """Fast path: run ``callback(value)`` at the current timestamp.
 
-        Used by the process/event trampoline for resume and wake-up
+        Used by :class:`~repro.sim.resources.SimEvent` for wake-up
         callbacks whose delay is always zero; skips delay validation and
         the timer queue.
         """

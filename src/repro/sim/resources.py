@@ -1,152 +1,59 @@
-"""Blocking resources built on top of the process/event model.
+"""Credit-based flow control for the event fabric.
 
-* :class:`Store`      -- bounded FIFO queue of items (models buffers,
-  mailbox queues, packet queues).
-* :class:`Resource`   -- counting resource with ``acquire``/``release``
-  (models ports, DMA engines, accelerator slots).
+* :class:`SimEvent`   -- one-shot event whose waiters are callbacks run
+  through the scheduler; the only blocking primitive the fabric uses.
 * :class:`CreditPool` -- integer credit counter with blocking ``take``
   (models credit-based flow control at the datalink and QPair layers).
 
-Each blocking operation returns a :class:`SimEvent`; a process waits by
-yielding it.
+:meth:`CreditPool.take` returns a :class:`SimEvent` (already succeeded
+when the credits are available), as does :meth:`PhysicalLink.offer
+<repro.fabric.phy.PhysicalLink.offer>` on a full queue; the caller
+continues in a callback registered with :meth:`SimEvent.add_waiter`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim.engine import SanitizerError, SimulationError, Simulator
-from repro.sim.process import SimEvent
 
 
-class Store:
-    """Bounded FIFO of items with blocking put/get semantics."""
+class SimEvent:
+    """One-shot event with callback waiters.
 
-    __slots__ = ("sim", "name", "capacity", "_items", "_getters", "_putters",
-                 "_put_name", "_get_name")
+    The event succeeds at most once; its value is delivered to every
+    waiter.  A waiter added after success still runs, with that value.
+    """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store"):
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    __slots__ = ("sim", "name", "_value", "_succeeded", "_waiters")
+
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[SimEvent] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-        # Event names are hoisted out of put()/get(): building one
-        # f-string per packet shows up in fabric hot-path profiles.
-        self._put_name = name + ".put"
-        self._get_name = name + ".get"
+        self._value: Any = None
+        self._succeeded = False
+        self._waiters: List[Callable[[Any], None]] = []
 
-    def __len__(self) -> int:
-        return len(self._items)
+    def succeed(self, value: Any = None) -> None:
+        """Trigger the event, waking all waiters at the current time."""
+        if self._succeeded:
+            raise SimulationError(f"event {self.name!r} already succeeded")
+        self._succeeded = True
+        self._value = value
+        waiters = self._waiters
+        if waiters:
+            call_soon = self.sim.call_soon
+            for waiter in waiters:
+                call_soon(waiter, value)
+            self._waiters = []
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> SimEvent:
-        """Enqueue ``item``; the returned event triggers once accepted.
-
-        The immediate-acceptance paths mark the fresh event succeeded in
-        place: it cannot have waiters yet, so this equals ``succeed(None)``
-        without the call overhead (this is the per-packet fast path).
-        """
-        event = SimEvent(self.sim, name=self._put_name)
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            event._succeeded = True
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event._succeeded = True
+    def add_waiter(self, callback: Callable[[Any], None]) -> None:
+        """Register a callback invoked (via the scheduler) on success."""
+        if self._succeeded:
+            self.sim.call_soon(callback, self._value)
         else:
-            self._putters.append((event, item))
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.is_full:
-            return False
-        self._items.append(item)
-        return True
-
-    def get(self) -> SimEvent:
-        """Dequeue an item; the returned event triggers with the item."""
-        event = SimEvent(self.sim, name=self._get_name)
-        if self._items:
-            # Fresh event, no waiters possible: succeed in place.
-            event._value = self._items.popleft()
-            event._succeeded = True
-            if self._putters:
-                self._admit_waiting_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> tuple:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        self._admit_waiting_putter()
-        return True, item
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed(None)
-
-
-class Resource:
-    """Counting resource (capacity N) with FIFO acquisition order."""
-
-    __slots__ = ("sim", "name", "capacity", "_in_use", "_waiters",
-                 "_acquire_name")
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
-        self._acquire_name = name + ".acquire"
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def acquire(self) -> SimEvent:
-        """Request a unit; the returned event fires once granted."""
-        event = SimEvent(self.sim, name=self._acquire_name)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            # Fresh event, no waiters possible: succeed in place.
-            event._succeeded = True
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return a unit, granting it to the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release on idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the unit directly to the next waiter.
-            self._waiters.popleft().succeed(None)
-        else:
-            self._in_use -= 1
+            self._waiters.append(callback)
 
 
 class CreditPool:
@@ -197,14 +104,17 @@ class CreditPool:
     def available(self) -> int:
         return self._credits
 
-    def take(self, amount: int = 1) -> SimEvent:
-        """Consume ``amount`` credits; blocks (via event) until granted."""
+    def _check_amount(self, amount: int) -> None:
         if amount <= 0:
             raise ValueError(f"credit amount must be positive, got {amount}")
         if amount > self.maximum:
             raise SimulationError(
                 f"requesting {amount} credits exceeds pool maximum {self.maximum}"
             )
+
+    def take(self, amount: int = 1) -> SimEvent:
+        """Consume ``amount`` credits; blocks (via event) until granted."""
+        self._check_amount(amount)
         if self._sanitize:
             self.check_conservation()
         event = SimEvent(self.sim, name=self._take_name)
@@ -219,7 +129,11 @@ class CreditPool:
         return event
 
     def try_take(self, amount: int = 1) -> bool:
-        """Non-blocking take; returns ``False`` if short on credits."""
+        """Non-blocking take; returns ``False`` if short on credits.
+
+        ``amount`` is validated as in :meth:`take`.
+        """
+        self._check_amount(amount)
         if self._sanitize:
             self.check_conservation()
         if self._waiters or self._credits < amount:

@@ -1,14 +1,13 @@
 """Measurement collection for simulation runs.
 
-The statistics objects are intentionally simple: experiments read them
-after a run to compute execution times, bandwidth utilisation, miss
-rates, and latency distributions.
+The statistics objects are plain named counters: experiments read them
+after a run to compute execution times, bandwidth utilisation and miss
+rates.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import Dict
 
 
 class Counter:
@@ -32,121 +31,20 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """Time-weighted gauge (e.g. queue occupancy, credits in flight)."""
-
-    __slots__ = ("name", "_value", "_last_time", "_weighted_sum", "_max",
-                 "_min")
-
-    def __init__(self, name: str = "gauge", initial: float = 0.0):
-        self.name = name
-        self._value = initial
-        self._last_time = 0
-        self._weighted_sum = 0.0
-        self._max = initial
-        self._min = initial
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def update(self, value: float, now: int) -> None:
-        """Record a new value at simulated time ``now``."""
-        if now < self._last_time:
-            raise ValueError("gauge updated with a time in the past")
-        self._weighted_sum += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-        self._max = max(self._max, value)
-        self._min = min(self._min, value)
-
-    def time_average(self, now: Optional[int] = None) -> float:
-        """Time-weighted mean of the gauge up to ``now``."""
-        end = self._last_time if now is None else now
-        if end <= 0:
-            return self._value
-        weighted = self._weighted_sum + self._value * max(0, end - self._last_time)
-        return weighted / end
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-
-class Histogram:
-    """Sample accumulator with summary statistics (for latencies)."""
-
-    __slots__ = ("name", "_samples")
-
-    def __init__(self, name: str = "histogram"):
-        self.name = name
-        self._samples: List[float] = []
-
-    def record(self, value: float) -> None:
-        self._samples.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def total(self) -> float:
-        return sum(self._samples)
-
-    @property
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return self.total / len(self._samples)
-
-    @property
-    def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._samples) if self._samples else 0.0
-
-    def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile (``pct`` in [0, 100])."""
-        if not self._samples:
-            return 0.0
-        if not 0 <= pct <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, math.ceil(pct / 100.0 * len(ordered)) - 1))
-        return ordered[rank]
-
-    @property
-    def stddev(self) -> float:
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((s - mean) ** 2 for s in self._samples) / (n - 1)
-        return math.sqrt(variance)
-
-
 class StatsRegistry:
     """Named collection of statistics owned by a component.
 
-    Components create their counters/gauges/histograms through a
-    registry so experiments can discover and report them uniformly.
+    Components create their counters through a registry so experiments
+    can discover and report them uniformly.
     """
 
-    __slots__ = ("name", "counters", "gauges", "histograms")
+    __slots__ = ("name", "counters")
 
     def __init__(self, name: str = "stats"):
         self.name = name
         # Instruments live for the whole run by design: experiments read
         # them after the simulation quiesces.
         self.counters: Dict[str, Counter] = {}  # simlint: disable=SIM006 -- instruments are read post-run, never retired
-        self.gauges: Dict[str, Gauge] = {}  # simlint: disable=SIM006 -- instruments are read post-run, never retired
-        self.histograms: Dict[str, Histogram] = {}  # simlint: disable=SIM006 -- instruments are read post-run, never retired
 
     def counter(self, name: str) -> Counter:
         try:
@@ -166,24 +64,6 @@ class StatsRegistry:
         """
         return tuple(self.counter(name) for name in names)
 
-    def gauge(self, name: str, initial: float = 0.0) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name, initial)
-        return self.gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
-
     def snapshot(self) -> Dict[str, float]:
-        """Flatten all statistics into a ``{name: value}`` mapping."""
-        result: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            result[f"{name}"] = counter.value
-        for name, gauge in self.gauges.items():
-            result[f"{name}.current"] = gauge.value
-        for name, hist in self.histograms.items():
-            result[f"{name}.count"] = hist.count
-            result[f"{name}.mean"] = hist.mean
-        return result
+        """Flatten all counters into a ``{name: value}`` mapping."""
+        return {name: counter.value for name, counter in self.counters.items()}

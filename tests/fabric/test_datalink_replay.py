@@ -75,20 +75,3 @@ def test_replays_survive_a_tiny_transmit_queue(sim):
     sim.run_until_idle()
     assert datalink.stats.counter("crc_errors").value > 0
     assert len(received) == total
-
-
-def test_send_generator_still_waitable(sim):
-    from repro.sim.process import Process
-
-    datalink = build_datalink(sim)
-    received = []
-    datalink.connect(received.append)
-
-    def body():
-        sequence = yield Process(sim, datalink.send(make_packet()))
-        return sequence
-
-    waiter = Process(sim, body())
-    sim.run_until_idle()
-    assert waiter.result == 0
-    assert len(received) == 1

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.address import RemoteAddressMappingTable
-from repro.fabric.crc import crc16, packet_crc
 from repro.fabric.phy import LinkConfig
 from repro.fabric.topology import build_mesh3d
 from repro.mem.cache import Cache, CacheConfig
@@ -28,32 +27,6 @@ def test_simulator_executes_events_in_nondecreasing_time_order(delays):
     sim.run_until_idle()
     assert execution_times == sorted(execution_times)
     assert len(execution_times) == len(delays)
-
-
-# ----------------------------------------------------------------------
-# CRC: deterministic, sensitive to corruption
-# ----------------------------------------------------------------------
-@given(st.binary(min_size=0, max_size=256))
-def test_crc_is_deterministic_and_bounded(data):
-    value = crc16(data)
-    assert value == crc16(data)
-    assert 0 <= value <= 0xFFFF
-
-
-@given(st.binary(min_size=1, max_size=128), st.integers(min_value=0, max_value=1023))
-def test_crc_detects_any_single_bit_flip(data, bit_index):
-    flipped = bytearray(data)
-    bit_index %= len(data) * 8
-    flipped[bit_index // 8] ^= 1 << (bit_index % 8)
-    assert crc16(bytes(flipped)) != crc16(data)
-
-
-@given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255),
-       st.integers(min_value=0, max_value=2**31 - 1),
-       st.integers(min_value=0, max_value=4096))
-def test_packet_crc_stable(src, dst, sequence, payload_bytes):
-    assert packet_crc(src, dst, sequence, payload_bytes) == \
-        packet_crc(src, dst, sequence, payload_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -18,15 +18,11 @@ from repro.fabric.datalink import DataLink, DataLinkConfig
 from repro.fabric.packet import Packet, PacketKind
 from repro.fabric.phy import LinkConfig, PhysicalLink
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 from repro.sim.resources import CreditPool
 
 
 def waiter(sim, pool, log, tag, amount=1):
-    def body():
-        yield pool.take(amount)
-        log.append((tag, sim.now))
-    return Process(sim, body(), name=tag)
+    pool.take(amount).add_waiter(lambda _value: log.append((tag, sim.now)))
 
 
 # ----------------------------------------------------------------------

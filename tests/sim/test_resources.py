@@ -1,214 +1,38 @@
-"""Unit tests for stores, resources and credit pools."""
+"""Unit tests for one-shot events and credit pools."""
 
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.process import Delay, Process
-from repro.sim.resources import CreditPool, Resource, Store
+from repro.sim.resources import CreditPool, SimEvent
 
 
 # ----------------------------------------------------------------------
-# Store
+# SimEvent
 # ----------------------------------------------------------------------
-def test_store_put_then_get(sim):
-    store = Store(sim)
-    store.put("item")
-    results = []
-
-    def consumer():
-        value = yield store.get()
-        results.append(value)
-
-    Process(sim, consumer())
+def test_event_wait_receives_value(sim):
+    event = SimEvent(sim, name="data")
+    got = []
+    event.add_waiter(lambda value: got.append((value, sim.now)))
+    sim.schedule(100, event.succeed, "payload")
     sim.run_until_idle()
-    assert results == ["item"]
+    assert got == [("payload", 100)]
 
 
-def test_store_get_blocks_until_put(sim):
-    store = Store(sim)
-    results = []
-
-    def consumer():
-        value = yield store.get()
-        results.append((value, sim.now))
-
-    def producer():
-        yield Delay(250)
-        store.put("late")
-
-    Process(sim, consumer())
-    Process(sim, producer())
+def test_waiting_on_already_triggered_event(sim):
+    event = SimEvent(sim)
+    event.succeed(7)
+    got = []
+    event.add_waiter(got.append)
+    assert got == []  # runs through the scheduler, not inline
     sim.run_until_idle()
-    assert results == [("late", 250)]
+    assert got == [7]
 
 
-def test_store_capacity_blocks_putter(sim):
-    store = Store(sim, capacity=1)
-    progress = []
-
-    def producer():
-        yield store.put("first")
-        progress.append(("first", sim.now))
-        yield store.put("second")
-        progress.append(("second", sim.now))
-
-    def consumer():
-        yield Delay(100)
-        yield store.get()
-
-    Process(sim, producer())
-    Process(sim, consumer())
-    sim.run_until_idle()
-    assert progress[0] == ("first", 0)
-    assert progress[1][1] == 100
-
-
-def test_store_fifo_order(sim):
-    store = Store(sim)
-    for index in range(5):
-        store.put(index)
-    seen = []
-
-    def consumer():
-        for _ in range(5):
-            value = yield store.get()
-            seen.append(value)
-
-    Process(sim, consumer())
-    sim.run_until_idle()
-    assert seen == [0, 1, 2, 3, 4]
-
-
-def test_store_putters_admitted_fifo_under_capacity_pressure(sim):
-    store = Store(sim, capacity=1)
-    admitted = []
-
-    def producer(name, start):
-        yield Delay(start)
-        yield store.put(name)
-        admitted.append((name, sim.now))
-
-    def consumer():
-        for _ in range(4):
-            yield Delay(100)
-            yield store.get()
-
-    # "seed" fills the store at t=0; the three late producers block in
-    # arrival order and must be admitted strictly FIFO as slots drain.
-    for name, start in (("seed", 0), ("a", 1), ("b", 2), ("c", 3)):
-        Process(sim, producer(name, start))
-    Process(sim, consumer())
-    sim.run_until_idle()
-    assert [name for name, _ in admitted] == ["seed", "a", "b", "c"]
-    # Blocked putters complete exactly when the consumer frees a slot.
-    assert [when for _, when in admitted[1:]] == [100, 200, 300]
-
-
-def test_store_getters_served_fifo_while_empty(sim):
-    store = Store(sim)
-    served = []
-
-    def getter(name):
-        value = yield store.get()
-        served.append((name, value))
-
-    for name in ("first", "second", "third"):
-        Process(sim, getter(name))
-    for value in range(3):
-        store.put(value)
-    sim.run_until_idle()
-    assert served == [("first", 0), ("second", 1), ("third", 2)]
-
-
-def test_store_try_put_and_try_get(sim):
-    store = Store(sim, capacity=1)
-    assert store.try_put("x") is True
-    assert store.try_put("y") is False
-    ok, value = store.try_get()
-    assert ok and value == "x"
-    ok, value = store.try_get()
-    assert not ok and value is None
-
-
-def test_store_invalid_capacity(sim):
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-# ----------------------------------------------------------------------
-# Resource
-# ----------------------------------------------------------------------
-def test_resource_acquire_release(sim):
-    resource = Resource(sim, capacity=1)
-    timeline = []
-
-    def user(name, hold):
-        yield resource.acquire()
-        timeline.append((name, "got", sim.now))
-        yield Delay(hold)
-        resource.release()
-
-    Process(sim, user("a", 100))
-    Process(sim, user("b", 50))
-    sim.run_until_idle()
-    assert timeline[0] == ("a", "got", 0)
-    assert timeline[1] == ("b", "got", 100)
-
-
-def test_resource_capacity_two_allows_overlap(sim):
-    resource = Resource(sim, capacity=2)
-    grants = []
-
-    def user(name):
-        yield resource.acquire()
-        grants.append((name, sim.now))
-        yield Delay(10)
-        resource.release()
-
-    for name in "abc":
-        Process(sim, user(name))
-    sim.run_until_idle()
-    assert grants[0][1] == 0 and grants[1][1] == 0
-    assert grants[2][1] == 10
-
-
-def test_resource_release_when_idle_raises(sim):
-    resource = Resource(sim)
+def test_event_cannot_succeed_twice(sim):
+    event = SimEvent(sim)
+    event.succeed()
     with pytest.raises(SimulationError):
-        resource.release()
-
-
-def test_resource_available_accounting(sim):
-    resource = Resource(sim, capacity=3)
-    assert resource.available == 3
-    resource.acquire()
-    assert resource.available == 2
-    resource.release()
-    assert resource.available == 3
-
-
-def test_resource_release_direct_handoff_keeps_unit_in_use(sim):
-    resource = Resource(sim, capacity=1)
-    resource.acquire()
-    grants = []
-
-    def waiter():
-        yield resource.acquire()
-        grants.append(sim.now)
-
-    Process(sim, waiter())
-    sim.run_until_idle()
-    assert grants == []
-    # Releasing with a queued waiter hands the unit over directly: it
-    # never becomes available, so in_use/available must not change.
-    resource.release()
-    sim.run_until_idle()
-    assert grants == [0]
-    assert resource.in_use == 1
-    assert resource.available == 0
-    resource.release()
-    assert resource.in_use == 0
-    assert resource.available == 1
+        event.succeed()
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +50,8 @@ def test_credit_take_and_replenish(sim):
 def test_credit_take_blocks_until_replenished(sim):
     pool = CreditPool(sim, initial=0, maximum=4)
     got = []
-
-    def taker():
-        yield pool.take(2)
-        got.append(sim.now)
-
-    def giver():
-        yield Delay(300)
-        pool.replenish(2)
-
-    Process(sim, taker())
-    Process(sim, giver())
+    pool.take(2).add_waiter(lambda _value: got.append(sim.now))
+    sim.schedule(300, pool.replenish, 2)
     sim.run_until_idle()
     assert got == [300]
     assert pool.stall_count == 1
@@ -254,14 +69,10 @@ def test_credit_replenish_grants_waiters_before_clamping(sim):
     # to 2 first and silently destroyed the second sender's credits.
     pool = CreditPool(sim, initial=0, maximum=2)
     got = []
-
-    def taker(name):
-        yield pool.take(2)
-        got.append(name)
-
-    Process(sim, taker("a"))
-    Process(sim, taker("b"))
+    for name in ("a", "b"):
+        pool.take(2).add_waiter(lambda _value, name=name: got.append(name))
     sim.run_until_idle()
+    assert got == []
     pool.replenish(4)
     sim.run_until_idle()
     assert got == ["a", "b"]
@@ -286,16 +97,30 @@ def test_credit_invalid_arguments(sim):
         pool.replenish(0)
 
 
+@pytest.mark.parametrize("amount, error", [
+    (0, ValueError),
+    (-3, ValueError),
+    (3, SimulationError),
+])
+def test_credit_try_take_validates_like_take(sim, amount, error):
+    # A full pool: an unvalidated negative try_take would mint credits
+    # beyond the maximum, and an oversized one would fail silently
+    # forever where take() raises.
+    pool = CreditPool(sim, initial=2, maximum=2)
+    with pytest.raises(error):
+        pool.take(amount)
+    with pytest.raises(error):
+        pool.try_take(amount)
+    assert pool.available == 2
+    assert pool.total_taken == 0
+    pool.check_conservation()
+
+
 def test_credit_waiters_served_fifo(sim):
     pool = CreditPool(sim, initial=0, maximum=2)
     order = []
-
-    def taker(name):
-        yield pool.take(1)
-        order.append(name)
-
-    Process(sim, taker("first"))
-    Process(sim, taker("second"))
+    for name in ("first", "second"):
+        pool.take(1).add_waiter(lambda _value, name=name: order.append(name))
     pool.replenish(2)
     sim.run_until_idle()
     assert order == ["first", "second"]
