@@ -28,7 +28,7 @@ Usage::
     PYTHONPATH=src python benchmarks/harness.py --json BENCH_engine.json \
         --baseline old.json                                      # write report
     PYTHONPATH=src python benchmarks/harness.py --workload fat_tree \
-        --scheduler calendar --min-events-per-sec 150000         # CI smoke gate
+        --min-events-per-sec 150000                              # CI smoke gate
     PYTHONPATH=src python benchmarks/harness.py --profile        # cProfile top-20
     PYTHONPATH=src python benchmarks/harness.py --sanitize       # sanitizer on
 
@@ -97,7 +97,6 @@ class WorkloadResult:
     sim_ns: int
     wall_s: float
     events_per_sec: float
-    scheduler: str = "auto"
     core: str = "py"
     mean_rtt_ns: Optional[float] = None
     sanitize: bool = False
@@ -110,11 +109,9 @@ class WorkloadResult:
             "sim_ns": self.sim_ns,
             "wall_s": round(self.wall_s, 6),
             "events_per_sec": round(self.events_per_sec, 1),
-            # Provenance: which timer backend and dispatch core produced
-            # these numbers -- throughput differs per backend and per
-            # core, so cross-configuration comparisons must be
-            # detectable in the JSON.
-            "scheduler": self.scheduler,
+            # Provenance: which dispatch core produced these numbers --
+            # throughput differs per core, so cross-core comparisons
+            # must be detectable in the JSON.
             "core": self.core,
         }
         if self.mean_rtt_ns is not None:
@@ -128,14 +125,13 @@ class WorkloadResult:
         return data
 
 
-def build_fabric(workload: str, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None):
+def build_fabric(workload: str, sanitize: Optional[bool] = None):
     """System + event fabric + delivery-counting sinks for one workload."""
     spec = WORKLOADS[workload]
     system = VeniceSystem.build(VeniceConfig(num_nodes=spec["num_nodes"],
                                              topology=spec["topology"]))
     fabric = system.build_event_fabric(
-        sim=Simulator(scheduler=scheduler, sanitize=sanitize))
+        sim=Simulator(sanitize=sanitize))
     # Sink cost is part of the measured wall clock: a bound list append
     # is the cheapest per-delivery accounting available in pure Python.
     delivered: List[Packet] = []
@@ -375,8 +371,8 @@ class ChurnOpsDriver:
     WAVE_GAP_NS = 15_000
     READ_DEADLINE_NS = 200_000
 
-    def __init__(self, ops: int, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None, seed: int = 2016):
+    def __init__(self, ops: int, sanitize: Optional[bool] = None,
+                 seed: int = 2016):
         from repro.cluster import Cluster, ClusterConfig
         from repro.core.channels.backend import RetryPolicy
         from repro.runtime.churn import ChurnConfig, ChurnEngine
@@ -385,7 +381,7 @@ class ChurnOpsDriver:
         self.ops = ops
         self.cluster = Cluster(ClusterConfig(
             num_nodes=8, topology="fat_tree", transport_backend="event",
-            scheduler=scheduler, sanitize=sanitize))
+            sanitize=sanitize))
         self.shares = [share for batch in self.cluster.matchmaker.borrow_many(
             [(node, 1 << 20) for node in self.cluster.node_ids])
             for share in batch]
@@ -458,9 +454,8 @@ class MnShardOpsDriver:
     #: across the campaign so crashes land between waves too).
     WAVE_GAP_NS = 15_000
 
-    def __init__(self, ops: int, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None, seed: int = 2016,
-                 shards: int = 2):
+    def __init__(self, ops: int, sanitize: Optional[bool] = None,
+                 seed: int = 2016, shards: int = 2):
         from repro.cluster import Cluster, ClusterConfig
         from repro.runtime.churn import ChurnConfig, ChurnEngine
         from repro.runtime.fault import FaultHandler
@@ -470,8 +465,7 @@ class MnShardOpsDriver:
         self.ops = ops
         self.cluster = Cluster(ClusterConfig(
             num_nodes=8, topology="fat_tree", monitor_shards=shards,
-            transport_backend="event", scheduler=scheduler,
-            sanitize=sanitize))
+            transport_backend="event", sanitize=sanitize))
         self.transport = self.cluster.event_transport()
         self.sim = self.transport.sim
         monitor = self.cluster.monitor
@@ -530,8 +524,7 @@ class MnShardOpsDriver:
 
 
 def run_workload(workload: str, packets_per_node: Optional[int] = None,
-                 seed: int = 2016, scheduler: str = "auto",
-                 sanitize: bool = False) -> WorkloadResult:
+                 seed: int = 2016, sanitize: bool = False) -> WorkloadResult:
     """Build, inject and run one workload under the wall-clock timer.
 
     ``sanitize=True`` runs the workload with the runtime sanitizer on
@@ -546,8 +539,8 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
     driver = None
     if spec["mode"] == "mn_shard":
         shard_driver = MnShardOpsDriver(ops=packets_per_node or spec["ops"],
-                                        scheduler=scheduler, sanitize=san,
-                                        seed=seed, shards=spec["shards"])
+                                        sanitize=san, seed=seed,
+                                        shards=spec["shards"])
         start = time.perf_counter()
         shard_driver.run()
         wall = time.perf_counter() - start
@@ -560,15 +553,13 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
             sim_ns=sim.now,
             wall_s=wall,
             events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
-            scheduler=sim.scheduler,
             core=sim.core,
             mean_rtt_ns=shard_driver.mean_rtt_ns,
             sanitize=sim.sanitize,
         )
     if spec["mode"] == "churn":
         churn_driver = ChurnOpsDriver(ops=packets_per_node or spec["ops"],
-                                      scheduler=scheduler, sanitize=san,
-                                      seed=seed)
+                                      sanitize=san, seed=seed)
         start = time.perf_counter()
         churn_driver.run()
         wall = time.perf_counter() - start
@@ -581,7 +572,6 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
             sim_ns=sim.now,
             wall_s=wall,
             events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
-            scheduler=sim.scheduler,
             core=sim.core,
             mean_rtt_ns=churn_driver.mean_rtt_ns,
             sanitize=sim.sanitize,
@@ -590,7 +580,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         system = VeniceSystem.build(
             VeniceConfig(num_nodes=spec["num_nodes"],
                          topology=spec["topology"]),
-            transport_backend="event", scheduler=scheduler, sanitize=san)
+            transport_backend="event", sanitize=san)
         concurrent_driver = ConcurrentOpsDriver(
             system, ops=packets_per_node or spec["ops"],
             requesters=spec["requesters"])
@@ -606,7 +596,6 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
             sim_ns=sim.now,
             wall_s=wall,
             events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
-            scheduler=sim.scheduler,
             core=sim.core,
             mean_rtt_ns=concurrent_driver.mean_rtt_ns,
             sanitize=sim.sanitize,
@@ -615,7 +604,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         system = VeniceSystem.build(
             VeniceConfig(num_nodes=spec["num_nodes"],
                          topology=spec["topology"]),
-            transport_backend="event", scheduler=scheduler, sanitize=san)
+            transport_backend="event", sanitize=san)
         channel_driver = ChannelOpsDriver(system,
                                           ops=packets_per_node or spec["ops"])
         start = time.perf_counter()
@@ -630,7 +619,6 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
             sim_ns=sim.now,
             wall_s=wall,
             events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
-            scheduler=sim.scheduler,
             core=sim.core,
             mean_rtt_ns=channel_driver.mean_rtt_ns,
             sanitize=sim.sanitize,
@@ -639,14 +627,13 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         system = VeniceSystem.build(VeniceConfig(num_nodes=spec["num_nodes"],
                                                  topology=spec["topology"]))
         fabric = system.build_event_fabric(
-            sim=Simulator(scheduler=scheduler, sanitize=san))
+            sim=Simulator(sanitize=san))
         driver = ClosedLoopDriver(
             system, fabric,
             requests_per_node=packets_per_node or spec["requests_per_node"],
             window=spec["window"], seed=seed)
     else:
-        system, fabric, delivered = build_fabric(workload, scheduler=scheduler,
-                                                 sanitize=san)
+        system, fabric, delivered = build_fabric(workload, sanitize=san)
         injected = inject_traffic(system, fabric, workload,
                                   packets_per_node or spec["packets_per_node"],
                                   seed=seed)
@@ -663,7 +650,6 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         sim_ns=fabric.sim.now,
         wall_s=wall,
         events_per_sec=events / wall if wall > 0 else 0.0,
-        scheduler=fabric.sim.scheduler,
         core=fabric.sim.core,
         mean_rtt_ns=driver.mean_rtt_ns if driver is not None else None,
         sanitize=fabric.sim.sanitize,
@@ -672,15 +658,14 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
 
 def run_all(packets_per_node: Optional[int] = None,
             workloads: Optional[List[str]] = None,
-            repeats: int = 1, scheduler: str = "auto",
-            sanitize: bool = False) -> Dict[str, WorkloadResult]:
+            repeats: int = 1, sanitize: bool = False) -> Dict[str, WorkloadResult]:
     """Run the selected workloads, keeping the best of ``repeats`` runs."""
     results: Dict[str, WorkloadResult] = {}
     for workload in workloads or list(WORKLOADS):
         best: Optional[WorkloadResult] = None
         for _ in range(max(1, repeats)):
             result = run_workload(workload, packets_per_node,
-                                  scheduler=scheduler, sanitize=sanitize)
+                                  sanitize=sanitize)
             if best is None or result.events_per_sec > best.events_per_sec:
                 best = result
         results[workload] = best
@@ -688,7 +673,7 @@ def run_all(packets_per_node: Optional[int] = None,
 
 
 def profile_workloads(workloads: Optional[List[str]] = None,
-                      scheduler: str = "auto", top: int = 20) -> None:
+                      top: int = 20) -> None:
     """Print the cProfile top-N cumulative hotspots per workload.
 
     Future perf PRs start from data: this is the same view the round-1
@@ -700,10 +685,10 @@ def profile_workloads(workloads: Optional[List[str]] = None,
     for workload in workloads or list(WORKLOADS):
         profiler = cProfile.Profile()
         profiler.enable()
-        result = run_workload(workload, scheduler=scheduler)
+        result = run_workload(workload)
         profiler.disable()
         print(f"\n=== {workload}: top {top} by cumulative time "
-              f"({result.events} events, scheduler={result.scheduler}) ===")
+              f"({result.events} events, core={result.core}) ===")
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("cumulative").print_stats(top)
 
@@ -769,9 +754,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override per-node packet/request budget")
     parser.add_argument("--repeats", type=int, default=1,
                         help="runs per workload; the best events/sec is kept")
-    parser.add_argument("--scheduler", choices=("auto", "heap", "calendar"),
-                        default="auto",
-                        help="timer backend for the simulator (default: auto)")
     parser.add_argument("--core", choices=("auto", "c", "py"), default=None,
                         help="dispatch core: 'c' requires the compiled "
                              "extension (repro.sim._ccore) and fails with a "
@@ -812,12 +794,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                       file=sys.stderr)
                 return 2
         # Workloads build their simulators many layers down: the
-        # environment is the plumbing, exactly like SIM_SCHEDULER /
-        # SIM_SANITIZE.
+        # environment is the plumbing, exactly like SIM_SANITIZE.
         os.environ["SIM_CORE"] = args.core
 
     if args.profile:
-        profile_workloads(workloads=args.workload, scheduler=args.scheduler)
+        profile_workloads(workloads=args.workload)
         return 0
 
     baseline = None
@@ -827,7 +808,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results = run_all(packets_per_node=args.packets_per_node,
                       workloads=args.workload, repeats=args.repeats,
-                      scheduler=args.scheduler, sanitize=args.sanitize)
+                      sanitize=args.sanitize)
     report = make_report(results, baseline=baseline, label=args.label)
     print_table(report)
 

@@ -1,13 +1,7 @@
 """Analysis helpers: metric math, report formatting, the hardware cost
-model of Section 7.3, and the correctness tooling (simlint static
-analysis and the lockstep scheduler cross-check).
+model of Section 7.3, and the simlint static analysis.
 """
 
-from repro.analysis.lockstep import (
-    CrossCheckResult,
-    Divergence,
-    lockstep_cross_check,
-)
 from repro.analysis.metrics import (
     normalize_to,
     slowdown_versus,
@@ -23,9 +17,6 @@ from repro.analysis.hardware_cost import (
 )
 
 __all__ = [
-    "CrossCheckResult",
-    "Divergence",
-    "lockstep_cross_check",
     "normalize_to",
     "slowdown_versus",
     "speedup_versus",

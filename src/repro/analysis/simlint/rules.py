@@ -29,7 +29,7 @@ SIM006    Add-only registry heuristic: an instance dict that gains keys
           but never loses them -- the shape of the PR 2
           ``replay_attempts_{seq}`` counter leak.
 SIM007    Direct access to ``Simulator`` dispatch internals
-          (``_queue``, ``_ready``, the calendar state) outside
+          (``_queue``, ``_ready``, the C-core ``_eng``) outside
           ``sim/``.  Those structures are an implementation detail of
           the *Python* engine; the compiled core keeps its timers in C
           storage, so outside pokes silently see an empty queue or
@@ -79,13 +79,13 @@ CALLBACK_SINKS = ORDER_SENSITIVE_CALLS | frozenset({"add_waiter", "expect"})
 #: determinism hazard (SIM002).
 NONDETERMINISTIC_MODULES = frozenset({"random", "time", "datetime"})
 
-#: ``Simulator`` dispatch-state attributes (timer heap, ready deque,
-#: calendar bookkeeping, and the C-core shadow).  Touching
+#: ``Simulator`` dispatch-state attributes (timer heap, ready deque and
+#: the C-core shadow).  Touching
 #: these from outside ``sim/`` couples callers to one engine's layout
 #: (SIM007 scope); names are specific enough that collisions with other
 #: classes' private state are unlikely.
 ENGINE_INTERNAL_ATTRS = frozenset({
-    "_queue", "_ready", "_cal_buckets", "_cal_count", "_eng",
+    "_queue", "_ready", "_eng",
 })
 
 #: Base-class names that exempt a class from SIM004 (not hot-path

@@ -79,8 +79,6 @@ class ClusterConfig:
     #: the cached closed-form sweeps; "event" runs every operation as
     #: packets over the system's shared event fabric.
     transport_backend: str = "closed_form"
-    #: Timer backend for the shared simulator (event backend only).
-    scheduler: str = "auto"
     #: Runtime sanitizer for the shared simulator (event backend only):
     #: True/False force it, None defers to ``SIM_SANITIZE``.
     sanitize: Optional[bool] = None
@@ -106,7 +104,6 @@ class Cluster:
         self.system = VeniceSystem.build(
             self.venice,
             transport_backend=self.config.transport_backend,
-            scheduler=self.config.scheduler,
             sanitize=self.config.sanitize)
         if self.config.monitor_shards is not None:
             # Swap the single-instance MN for the sharded, replicated

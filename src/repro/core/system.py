@@ -65,7 +65,6 @@ class VeniceSystem:
     def __init__(self, config: VeniceConfig, topology: Topology,
                  nodes: Dict[int, VeniceNode], monitor: MonitorNode,
                  transport_backend: str = "closed_form",
-                 scheduler: str = "auto",
                  sanitize: Optional[bool] = None):
         if transport_backend not in ("closed_form", "event"):
             raise ValueError(
@@ -76,7 +75,6 @@ class VeniceSystem:
         self.nodes = nodes
         self.monitor = monitor
         self.transport_backend = transport_backend
-        self.scheduler = scheduler
         #: ``None`` defers to the ``SIM_SANITIZE`` environment variable
         #: when the system builds its simulators.
         self.sanitize = sanitize
@@ -90,7 +88,6 @@ class VeniceSystem:
     @classmethod
     def build(cls, config: Optional[VeniceConfig] = None,
               transport_backend: str = "closed_form",
-              scheduler: str = "auto",
               sanitize: Optional[bool] = None) -> "VeniceSystem":
         """Build a system from a configuration (Table 1 defaults)."""
         config = config or VeniceConfig()
@@ -105,7 +102,7 @@ class VeniceSystem:
             monitor.register_agent(nodes[node_id].agent)
         return cls(config=config, topology=topology, nodes=nodes,
                    monitor=monitor, transport_backend=transport_backend,
-                   scheduler=scheduler, sanitize=sanitize)
+                   sanitize=sanitize)
 
     @staticmethod
     def _build_topology(config: VeniceConfig) -> Topology:
@@ -171,8 +168,7 @@ class VeniceSystem:
         """
         if self._event_transport is None:
             fabric = self.build_event_fabric(
-                sim=Simulator(scheduler=self.scheduler,
-                              sanitize=self.sanitize))
+                sim=Simulator(sanitize=self.sanitize))
             self._event_transport = EventTransport(fabric)
         return self._event_transport
 

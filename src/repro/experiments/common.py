@@ -41,8 +41,7 @@ _SLACK_BYTES = 1 << 20
 def compare_transport_backends(runner, config, cross_traffic: bool = True,
                                cross_payload_bytes: int = 1024,
                                cross_window: int = 2,
-                               cross_turnaround_ns: int = 0,
-                               scheduler: str = "auto"):
+                               cross_turnaround_ns: int = 0):
     """Run one figure driver on both transport backends.
 
     The shared harness behind the ``*_contended`` experiments: the same
@@ -52,7 +51,7 @@ def compare_transport_backends(runner, config, cross_traffic: bool = True,
     Returns ``(closed_report, event_report, event_platform, driver)``.
     """
     closed = runner(config, ExperimentPlatform())
-    event_platform = ExperimentPlatform(backend="event", scheduler=scheduler)
+    event_platform = ExperimentPlatform(backend="event")
     driver = None
     if cross_traffic:
         driver = event_platform.start_cross_traffic(
@@ -94,8 +93,6 @@ class ExperimentPlatform:
     dram: DramConfig = None
     #: "closed_form" | "event" transport for the platform's channels.
     backend: str = "closed_form"
-    #: Timer backend of the shared simulator (event backend only).
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         self.venice = self.venice or VeniceConfig.pair()
@@ -116,8 +113,7 @@ class ExperimentPlatform:
             from repro.core.system import VeniceSystem
 
             self._system = VeniceSystem.build(self.venice,
-                                              transport_backend=self.backend,
-                                              scheduler=self.scheduler)
+                                              transport_backend=self.backend)
         return self._system
 
     def event_transport(self) -> EventTransport:

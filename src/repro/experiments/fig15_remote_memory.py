@@ -164,7 +164,6 @@ class Fig15ContendedConfig:
     cross_payload_bytes: int = 1024
     cross_window: int = 2
     cross_turnaround_ns: int = 0
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         self.workloads = self.workloads or Fig15Config.tiny()
@@ -189,8 +188,7 @@ def run_fig15_contended(config: Fig15ContendedConfig = None) -> FigureReport:
         cross_traffic=config.cross_traffic,
         cross_payload_bytes=config.cross_payload_bytes,
         cross_window=config.cross_window,
-        cross_turnaround_ns=config.cross_turnaround_ns,
-        scheduler=config.scheduler)
+        cross_turnaround_ns=config.cross_turnaround_ns)
 
     mode = "contended" if config.cross_traffic else "uncontended"
     report = FigureReport(

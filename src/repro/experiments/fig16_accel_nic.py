@@ -220,7 +220,6 @@ class Fig16ContendedConfig:
     cross_payload_bytes: int = 1024
     cross_window: int = 8
     cross_turnaround_ns: int = 0
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         self.sizes = self.sizes or Fig16Config.tiny()
@@ -245,8 +244,7 @@ def run_fig16_contended(config: Fig16ContendedConfig = None) -> FigureReport:
             cross_traffic=config.cross_traffic,
             cross_payload_bytes=config.cross_payload_bytes,
             cross_window=config.cross_window,
-            cross_turnaround_ns=config.cross_turnaround_ns,
-            scheduler=config.scheduler)
+            cross_turnaround_ns=config.cross_turnaround_ns)
 
     closed_a, event_a, platform_a, driver_a = run_both(run_fig16a)
     closed_b, event_b, platform_b, driver_b = run_both(run_fig16b)

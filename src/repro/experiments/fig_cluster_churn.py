@@ -86,8 +86,6 @@ class ClusterChurnConfig:
     flap_duration_ns: int = 600_000
     router_down_ns: int = 800_000
     crash_down_ns: int = 4_000_000
-    #: Timer backend for the shared simulators.
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.node_counts or min(self.node_counts) < 4:
@@ -98,8 +96,6 @@ class ClusterChurnConfig:
             raise ValueError("horizon and wave gap must be positive")
         if self.deadline_ns <= 0:
             raise ValueError("read deadline must be positive")
-        if self.scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unsupported scheduler {self.scheduler!r}")
         self.node_counts = tuple(sorted(set(self.node_counts)))
         self.fault_scales = tuple(sorted(set(self.fault_scales)))
 
@@ -130,7 +126,7 @@ def _run_once(config: ClusterChurnConfig, num_nodes: int,
     cluster = Cluster(ClusterConfig(
         num_nodes=num_nodes, topology="fat_tree",
         leaf_radix=config.leaf_radix, num_spines=config.num_spines,
-        transport_backend="event", scheduler=config.scheduler))
+        transport_backend="event"))
     matchmaker = cluster.matchmaker
     active: List[ResourceShare] = [
         share for batch in matchmaker.borrow_many(

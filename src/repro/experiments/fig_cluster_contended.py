@@ -57,8 +57,6 @@ class ClusterContendedConfig:
     reads_per_borrower: int = 8
     #: Remote memory each borrower requests.
     memory_per_borrower: int = _MEMORY_PER_BORROWER
-    #: Timer backend for the shared simulators.
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.node_counts or min(self.node_counts) < 2:
@@ -68,8 +66,6 @@ class ClusterContendedConfig:
                 f"unsupported contended topology {self.topology!r}")
         if self.reads_per_borrower < 1:
             raise ValueError("each borrower needs at least one read")
-        if self.scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unsupported scheduler {self.scheduler!r}")
         self.node_counts = tuple(sorted(set(self.node_counts)))
 
 
@@ -77,13 +73,11 @@ def _cluster_config(config: ClusterContendedConfig,
                     num_nodes: int) -> ClusterConfig:
     if num_nodes == 2:
         return ClusterConfig(num_nodes=2, topology="direct_pair",
-                             transport_backend="event",
-                             scheduler=config.scheduler)
+                             transport_backend="event")
     return ClusterConfig(num_nodes=num_nodes, topology=config.topology,
                          leaf_radix=config.leaf_radix,
                          num_spines=config.num_spines,
-                         transport_backend="event",
-                         scheduler=config.scheduler)
+                         transport_backend="event")
 
 
 def _provision(cluster: Cluster, config: ClusterContendedConfig):

@@ -71,8 +71,6 @@ class ClusterContentionConfig:
     #: real end-to-end round-trips with credit feedback on both legs
     #: instead of one-way deliveries.
     closed_loop: bool = False
-    #: Timer backend for the simulator ("auto", "heap" or "calendar").
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.node_counts or min(self.node_counts) < 2:
@@ -81,8 +79,6 @@ class ClusterContentionConfig:
             raise ValueError(f"unsupported contention topology {self.topology!r}")
         if self.probes_per_node < 1:
             raise ValueError("each node needs at least one probe")
-        if self.scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unsupported scheduler {self.scheduler!r}")
         self.node_counts = tuple(sorted(set(self.node_counts)))
 
 
@@ -126,7 +122,7 @@ class _FabricRun:
         self.closed_loop = config.closed_loop
         self._probe_payload = config.payload_bytes
         self.fabric = cluster.system.build_event_fabric(
-            sim=Simulator(scheduler=config.scheduler))
+            sim=Simulator())
         self.latencies_ns: Dict[int, int] = {}
         self._inject_times: Dict[int, int] = {}
         compute = cluster.topology.compute_nodes

@@ -24,9 +24,9 @@ Three questions about the sharded, replicated Monitor Node
   per-borrower slowdown.
 
 For a fixed seed every run -- campaign, promotions, replays, borrows
--- is byte-identical across repeats and across the heap and calendar
-timer backends (:func:`mn_failover_stats_dump` is the canonical
-witness the determinism tests and the CI churn smoke compare).
+-- is byte-identical across repeats and across the Python and compiled
+dispatch cores (:func:`mn_failover_stats_dump` is the canonical witness
+the determinism tests and the CI churn smoke compare).
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class MnFailoverConfig:
     #: Cross-traffic intensity on the hot leaf (saturates its links).
     noise_payload_bytes: int = 4096
     noise_window: int = 8
-    #: Timer backend for the shared simulators.
-    scheduler: str = "auto"
     #: Runtime sanitizer for the event-backed runs (None defers to the
     #: ``SIM_SANITIZE`` environment variable).
     sanitize: Optional[bool] = None
@@ -96,8 +94,6 @@ class MnFailoverConfig:
             raise ValueError("shard counts must all be at least 1")
         if self.horizon_ns <= 0 or self.wave_gap_ns <= 0:
             raise ValueError("horizon and wave gap must be positive")
-        if self.scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unsupported scheduler {self.scheduler!r}")
         self.node_counts = tuple(sorted(set(self.node_counts)))
         self.shard_counts = tuple(sorted(set(self.shard_counts)))
 
@@ -128,8 +124,7 @@ def _run_failover_once(config: MnFailoverConfig, num_nodes: int,
         num_nodes=num_nodes, topology="fat_tree",
         leaf_radix=config.leaf_radix, num_spines=config.num_spines,
         monitor_shards=num_shards,
-        transport_backend="event", scheduler=config.scheduler,
-        sanitize=config.sanitize))
+        transport_backend="event", sanitize=config.sanitize))
     matchmaker = cluster.matchmaker
     monitor = cluster.monitor
     transport = cluster.event_transport()
@@ -280,8 +275,7 @@ def _contended_cluster(config: MnFailoverConfig) -> Cluster:
     cluster = Cluster(ClusterConfig(
         num_nodes=16, topology="fat_tree",
         leaf_radix=config.leaf_radix, num_spines=config.num_spines,
-        transport_backend="event", scheduler=config.scheduler,
-        sanitize=config.sanitize))
+        transport_backend="event", sanitize=config.sanitize))
     for node in cluster.node_ids:
         agent = cluster.node(node).agent
         if node >= 8:

@@ -21,16 +21,6 @@
  * discipline -- including the ``_cancelled`` accounting the automatic
  * drain threshold reads.
  *
- * Backend parity: the Python engine's two timer backends (heap and
- * calendar queue) are *performance* structures -- both dispatch in the
- * identical total (time, seq) order.  The compiled core therefore
- * keeps a single packed heap: a sift over 24-byte structs is
- * allocation-free and cache-resident, so the calendar's O(1)-append
- * advantage has nothing left to buy.  ``scheduler=`` selection semantics (including
- * the deterministic auto-adoption density scan) are mirrored so the
- * reported backend matches the Python engine; dispatch order is
- * byte-identical on either backend of either core by construction.
- *
  * Error-message parity: every SimulationError raised here formats the
  * same text as engine.py, so tests asserting on messages pass on both
  * cores.  The SimulationError class itself is injected by the Python
@@ -58,8 +48,6 @@
 
 /* Mirrors of engine.py tuning constants (names kept in sync). */
 #define AUTO_DRAIN_MIN_CANCELLED 512
-#define AUTO_CALENDAR_MIN_PENDING 16
-#define AUTO_CALENDAR_MAX_GAP_BUCKETS 4
 
 typedef struct {
     long long time;
@@ -75,10 +63,6 @@ typedef struct {
     long long event_count;
     long long cancelled;        /* cancelled-but-not-yet-purged entries */
     int running;
-    int policy;                 /* 0 heap, 1 calendar, 2 auto */
-    int cal_active;             /* reported backend flag (see header) */
-    long long cal_bucket_ns;
-    long long auto_checked_pending;
     /* timer heap */
     Item *heap;
     Py_ssize_t heap_len, heap_cap;
@@ -373,29 +357,20 @@ parse_ll(PyObject *obj, long long *out, const char *what)
 static PyObject *
 engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"sim_error", "policy", "calendar_bucket_ns",
-                             "calendar_active", NULL};
+    static char *kwlist[] = {"sim_error", NULL};
     PyObject *sim_error;
-    int policy;
-    long long bucket_ns;
-    int cal_active;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OiLi", kwlist, &sim_error,
-                                     &policy, &bucket_ns, &cal_active))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &sim_error))
         return NULL;
     Engine *self = (Engine *)type->tp_alloc(type, 0);
     if (!self)
         return NULL;
     Py_INCREF(sim_error);
     self->sim_error = sim_error;
-    self->policy = policy;
-    self->cal_bucket_ns = bucket_ns;
-    self->cal_active = cal_active;
     self->now_ns = 0;
     self->next_seq = 0;
     self->event_count = 0;
     self->cancelled = 0;
     self->running = 0;
-    self->auto_checked_pending = 0;
     return (PyObject *)self;
 }
 
@@ -666,29 +641,6 @@ dispatch_slot(Engine *self, Py_ssize_t slot)
     return 0;
 }
 
-/* ``auto`` backend adoption, mirroring engine._maybe_adopt_calendar:
- * O(pending) density scan, re-attempted only after the population has
- * doubled since the last failed check.  Only the reported backend flag
- * changes -- the packed heap serves both (see file header). */
-static void
-maybe_adopt_calendar(Engine *self)
-{
-    Py_ssize_t pending = self->heap_len;
-    if (pending < AUTO_CALENDAR_MIN_PENDING
-        || pending < 2 * self->auto_checked_pending)
-        return;
-    long long max_time = self->heap[0].time;
-    for (Py_ssize_t i = 1; i < pending; i++) {
-        if (self->heap[i].time > max_time)
-            max_time = self->heap[i].time;
-    }
-    long long span = max_time - self->now_ns;
-    if (span / pending <= self->cal_bucket_ns * AUTO_CALENDAR_MAX_GAP_BUCKETS)
-        self->cal_active = 1;
-    else
-        self->auto_checked_pending = pending;
-}
-
 static PyObject *
 engine_run(Engine *self, PyObject *const *args, Py_ssize_t nargs,
            PyObject *kwnames)
@@ -738,8 +690,6 @@ engine_run(Engine *self, PyObject *const *args, Py_ssize_t nargs,
                         "simulator is already running (re-entrant run())");
         return NULL;
     }
-    if (!self->cal_active && self->policy == 2)
-        maybe_adopt_calendar(self);
     self->running = 1;
     long long executed = 0;
     long long now = self->now_ns;
@@ -880,12 +830,6 @@ engine_get_events(Engine *self, void *Py_UNUSED(closure))
 }
 
 static PyObject *
-engine_get_cal_active(Engine *self, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(self->cal_active);
-}
-
-static PyObject *
 engine_get_cancelled(Engine *self, void *Py_UNUSED(closure))
 {
     return PyLong_FromLongLong(self->cancelled);
@@ -908,7 +852,6 @@ static PyMethodDef engine_methods[] = {
 static PyGetSetDef engine_getset[] = {
     {"now", (getter)engine_get_now, NULL, NULL, NULL},
     {"events_processed", (getter)engine_get_events, NULL, NULL, NULL},
-    {"calendar_active", (getter)engine_get_cal_active, NULL, NULL, NULL},
     {"cancelled", (getter)engine_get_cancelled, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
@@ -955,7 +898,7 @@ PyInit__ccore(void)
     }
     /* Bumped whenever the Engine ABI the wrapper relies on changes; the
      * wrapper refuses (and falls back) on mismatch rather than crash. */
-    if (PyModule_AddIntConstant(module, "CCORE_API_VERSION", 1) < 0) {
+    if (PyModule_AddIntConstant(module, "CCORE_API_VERSION", 2) < 0) {
         Py_DECREF(module);
         return NULL;
     }

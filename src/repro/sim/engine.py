@@ -7,10 +7,10 @@ the fabric's callback chains) are built on top of its scheduling calls.
 Hot-path design notes
 ---------------------
 Queue entries are plain lists ``[time, seq, callback, args, single]``
-rather than objects with an ``__lt__`` method: the timer queues compare
-entries with C-level list comparison (time first, then the unique
-sequence number, never reaching the callback), which removes a
-Python-level method call per comparison.
+rather than objects with an ``__lt__`` method: the timer heap
+(``heapq``) compares entries with C-level list comparison (time first,
+then the unique sequence number, never reaching the callback), which
+removes a Python-level method call per comparison.
 
 Zero-delay events -- event wake-ups and other
 callbacks scheduled *at the current timestamp while it is being
@@ -21,28 +21,6 @@ timer entry due at the current timestamp was created strictly earlier
 smaller sequence number than any ready entry, so draining timer entries
 at the current time first and the ready deque second is exactly seq
 order.
-
-Two timer backends sit behind the same API:
-
-* ``heap`` -- a binary heap (``heapq``).  O(log n) per operation,
-  robust for sparse or long-horizon timer populations.
-* ``calendar`` -- a calendar queue (bucketed timing wheel).  Timers
-  hash into power-of-two-width buckets by ``time >> shift``; the bucket
-  for the current *day* is sorted once (C timsort) into the *current
-  run* and dispatched in order, while same-day insertions go through a
-  C ``bisect.insort``.  Pushes are O(1) list appends for future days,
-  which beats the heap when many short delays are in flight at once
-  (the fabric workloads).  Both backends dispatch in exactly the same
-  (time, seq) order, so simulation results are byte-identical.
-
-``scheduler="auto"`` (the default) starts on the heap and adopts the
-calendar at the top of a :meth:`run` call when the pending timer
-population is dense: at least ``_AUTO_CALENDAR_MIN_PENDING`` timers
-whose mean spacing is within a few bucket widths.  Sparse populations
-(e.g. a handful of long watchdog timers) stay on the heap, where one
-rotation of mostly-empty buckets would otherwise be wasted work.  The
-adoption decision reads only simulator state, never the wall clock, so
-it is deterministic.
 
 Cancellation clears the callback slot in place (``entry[2] = None``);
 cancelled entries are purged lazily when they surface, and
@@ -57,7 +35,6 @@ from __future__ import annotations
 import importlib
 import os
 import warnings
-from bisect import insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
@@ -73,15 +50,6 @@ _TIME, _SEQ, _CALLBACK, _ARGS, _SINGLE = 0, 1, 2, 3, 4
 #: cancelled entries are buried in the queues *and* they outnumber the
 #: live entries (see :meth:`Simulator.cancel`).
 _AUTO_DRAIN_MIN_CANCELLED = 512
-
-#: ``scheduler="auto"`` adopts the calendar backend only when at least
-#: this many timers are pending at the top of a ``run()`` call (small
-#: enough that reactive closed-loop workloads, which only pre-schedule
-#: their initial request windows, still qualify) ...
-_AUTO_CALENDAR_MIN_PENDING = 16
-#: ... and their mean spacing is at most this many bucket widths (a
-#: dense population; sparse populations stay on the heap).
-_AUTO_CALENDAR_MAX_GAP_BUCKETS = 4
 
 
 class SimulationError(RuntimeError):
@@ -163,7 +131,7 @@ def _load_ccore(build: bool = False):
                 RuntimeWarning, stacklevel=3)
         return None
     version = getattr(_ccore, "CCORE_API_VERSION", None)
-    if version != 1:
+    if version != 2:
         state["error"] = f"ABI mismatch (CCORE_API_VERSION={version!r})"
         if not state["warned"]:
             state["warned"] = True
@@ -211,20 +179,10 @@ class Simulator:
     """Event loop with an integer nanosecond clock.
 
     The simulator is single-threaded and deterministic: callbacks
-    scheduled for the same timestamp run in scheduling order, whichever
-    timer backend is active.
+    scheduled for the same timestamp run in scheduling order.
 
     Parameters
     ----------
-    scheduler:
-        ``"heap"``, ``"calendar"`` or ``"auto"`` (default).  ``auto``
-        starts on the heap and switches to the calendar queue when a
-        dense short-delay timer population shows up (see module notes).
-    calendar_bucket_ns:
-        Bucket (day) width of the calendar backend, power of two.
-    calendar_buckets:
-        Number of buckets (one rotation covers ``bucket_ns * buckets``
-        nanoseconds), power of two.
     sanitize:
         Enable the runtime sanitizer: every dispatched event is checked
         against the monotonic-clock and total (time, seq) order
@@ -247,15 +205,10 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_seq", "_queue", "_ready", "_running",
-                 "_event_count", "_cancelled", "_policy", "_cal_bucket_ns",
-                 "_cal_shift", "_cal_mask", "_cal_active", "_cal_buckets",
-                 "_cal_count", "_cal_day", "_cur", "_cur_idx",
-                 "_auto_checked_pending", "_sanitize", "_san_last_time",
+                 "_event_count", "_cancelled", "_sanitize", "_san_last_time",
                  "_san_last_seq", "_san_trace")
 
-    def __new__(cls, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                calendar_buckets: int = 8192,
-                sanitize: Optional[bool] = None,
+    def __new__(cls, sanitize: Optional[bool] = None,
                 core: Optional[str] = None) -> "Simulator":
         # Factory: a plain ``Simulator(...)`` constructs the compiled-
         # core subclass when core resolution picks "c".  Explicit
@@ -264,17 +217,8 @@ class Simulator:
             return object.__new__(_CSimulator)
         return object.__new__(cls)
 
-    def __init__(self, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                 calendar_buckets: int = 8192,
-                 sanitize: Optional[bool] = None,
+    def __init__(self, sanitize: Optional[bool] = None,
                  core: Optional[str] = None) -> None:
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             "(expected 'heap', 'calendar' or 'auto')")
-        if calendar_bucket_ns <= 0 or calendar_bucket_ns & (calendar_bucket_ns - 1):
-            raise ValueError("calendar_bucket_ns must be a positive power of two")
-        if calendar_buckets <= 0 or calendar_buckets & (calendar_buckets - 1):
-            raise ValueError("calendar_buckets must be a positive power of two")
         if sanitize is None:
             sanitize = os.environ.get("SIM_SANITIZE", "0") not in ("", "0")
         self._sanitize = bool(sanitize)
@@ -288,19 +232,6 @@ class Simulator:
         self._running = False
         self._event_count = 0
         self._cancelled = 0
-        self._policy = scheduler
-        self._cal_bucket_ns = calendar_bucket_ns
-        self._cal_shift = calendar_bucket_ns.bit_length() - 1
-        self._cal_mask = calendar_buckets - 1
-        self._cal_active = False
-        self._cal_buckets: List[List[list]] = []
-        self._cal_count = 0  # entries parked in buckets (not in the run)
-        self._cal_day = 0
-        self._cur: List[list] = []  # sorted run for days <= _cal_day
-        self._cur_idx = 0
-        self._auto_checked_pending = 0
-        if scheduler == "calendar":
-            self._activate_calendar()
 
     @property
     def now(self) -> int:
@@ -320,16 +251,6 @@ class Simulator:
         return self._event_count
 
     @property
-    def scheduler(self) -> str:
-        """Timer backend currently in use (``"heap"`` or ``"calendar"``)."""
-        return "calendar" if self._cal_active else "heap"
-
-    @property
-    def scheduler_policy(self) -> str:
-        """The backend selection policy this simulator was built with."""
-        return self._policy
-
-    @property
     def sanitize(self) -> bool:
         """Whether the runtime sanitizer is active on this simulator."""
         return self._sanitize
@@ -343,9 +264,8 @@ class Simulator:
         """Record every dispatch as ``(time, seq, callback qualname)``.
 
         Only available while sanitizing (the trace hook lives in the
-        sanitized dispatch path).  Returns the live trace list; the
-        lockstep heap-versus-calendar cross-check diffs two of these to
-        find the first divergence.
+        sanitized dispatch path).  Returns the live trace list; diffing
+        two of these locates the first dispatch where two runs diverge.
         """
         if not self._sanitize:
             raise SimulationError(
@@ -377,141 +297,11 @@ class Simulator:
 
     def __len__(self) -> int:
         """Pending queue entries, including not-yet-purged cancellations."""
-        if self._cal_active:
-            return (len(self._cur) - self._cur_idx + self._cal_count
-                    + len(self._ready))
         return len(self._queue) + len(self._ready)
-
-    # ------------------------------------------------------------------
-    # Calendar backend plumbing
-    # ------------------------------------------------------------------
-    def _activate_calendar(self) -> None:
-        """Switch the timer backend to the calendar queue.
-
-        Pending heap entries migrate in place (the entry lists move, so
-        outstanding cancellation handles stay valid).
-        """
-        self._cal_buckets = [[] for _ in range(self._cal_mask + 1)]
-        self._cal_active = True
-        shift = self._cal_shift
-        mask = self._cal_mask
-        self._cal_day = self._now >> shift
-        queue = self._queue
-        if queue:
-            cal_day = self._cal_day
-            buckets = self._cal_buckets
-            parked = 0
-            for entry in queue:
-                if entry[_CALLBACK] is None:
-                    self._cancelled -= 1
-                    continue
-                day = entry[_TIME] >> shift
-                if day <= cal_day:
-                    insort(self._cur, entry, self._cur_idx)
-                else:
-                    buckets[day & mask].append(entry)
-                    parked += 1
-            self._cal_count += parked
-            self._queue = []
-
-    def _maybe_adopt_calendar(self) -> None:
-        """``auto`` policy: adopt the calendar for dense timer populations.
-
-        The density scan is O(pending), so after a failed check it is
-        re-attempted only once the population has doubled -- repeated
-        ``run()`` calls over a stable sparse population stay O(1).
-        """
-        queue = self._queue
-        pending = len(queue)
-        if (pending < _AUTO_CALENDAR_MIN_PENDING
-                or pending < 2 * self._auto_checked_pending):
-            return
-        span = max(entry[_TIME] for entry in queue) - self._now
-        if span // pending <= self._cal_bucket_ns * _AUTO_CALENDAR_MAX_GAP_BUCKETS:
-            self._activate_calendar()
-        else:
-            self._auto_checked_pending = pending
-
-    def _cal_advance(self) -> bool:
-        """Load the next non-empty day into the current sorted run.
-
-        Scans forward one bucket per day; if a whole rotation is empty
-        (every pending timer is more than ``buckets * bucket_ns`` away)
-        it jumps straight to the earliest pending day -- the sparse
-        fallback that keeps long-horizon timers correct, if not fast.
-        """
-        if not self._cal_count:
-            return False
-        shift = self._cal_shift
-        mask = self._cal_mask
-        buckets = self._cal_buckets
-        day = self._cal_day
-        for _ in range(mask + 1):
-            day += 1
-            bucket = buckets[day & mask]
-            if bucket:
-                run = [e for e in bucket if (e[_TIME] >> shift) == day]
-                if run:
-                    break
-        else:
-            # Sparse fallback: nothing within one rotation.
-            day = min(entry[_TIME] >> shift
-                      for bucket in buckets for entry in bucket)
-            bucket = buckets[day & mask]
-            run = [e for e in bucket if (e[_TIME] >> shift) == day]
-        if len(run) == len(bucket):
-            buckets[day & mask] = []
-        else:
-            buckets[day & mask] = [e for e in bucket
-                                   if (e[_TIME] >> shift) != day]
-        run.sort()
-        self._cur = run
-        self._cur_idx = 0
-        self._cal_count -= len(run)
-        self._cal_day = day
-        return True
-
-    def _cal_next(self) -> Optional[list]:
-        """Earliest live timer entry, or ``None``; purges cancellations.
-
-        The returned entry is *not* popped; callers that dispatch it
-        advance ``_cur_idx`` themselves.
-        """
-        while True:
-            cur = self._cur
-            idx = self._cur_idx
-            n = len(cur)
-            while idx < n:
-                entry = cur[idx]
-                if entry[_CALLBACK] is None:
-                    idx += 1
-                    self._cancelled -= 1
-                    continue
-                self._cur_idx = idx
-                return entry
-            self._cur_idx = idx
-            if not self._cal_advance():
-                return None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push_timer(self, entry: list) -> None:
-        """Park a future-time entry in the active timer backend."""
-        if self._cal_active:
-            day = entry[_TIME] >> self._cal_shift
-            if day <= self._cal_day:
-                # Same-day (or already-loaded-day) push: ordered insert
-                # into the current sorted run.  Entries before _cur_idx
-                # are spent and strictly smaller, so a lo=0 bisect would
-                # be correct too -- lo=_cur_idx just skips them.
-                insort(self._cur, entry, self._cur_idx)
-            else:
-                self._cal_buckets[day & self._cal_mask].append(entry)
-                self._cal_count += 1
-        else:
-            heappush(self._queue, entry)
-
     def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
@@ -524,7 +314,7 @@ class Simulator:
         if delay == 0:
             self._ready.append(entry)
         else:
-            self._push_timer(entry)
+            heappush(self._queue, entry)
         return entry
 
     def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> list:
@@ -538,7 +328,7 @@ class Simulator:
         if time == self._now:
             self._ready.append(entry)
         else:
-            self._push_timer(entry)
+            heappush(self._queue, entry)
         return entry
 
     def call_soon(self, callback: Callable[..., None], value: Any = None) -> list:
@@ -566,15 +356,7 @@ class Simulator:
         entry = [self._now + delay, self._seq, callback, value, True]
         self._seq += 1
         if delay > 0:
-            if self._cal_active:
-                day = entry[0] >> self._cal_shift
-                if day <= self._cal_day:
-                    insort(self._cur, entry, self._cur_idx)
-                else:
-                    self._cal_buckets[day & self._cal_mask].append(entry)
-                    self._cal_count += 1
-            else:
-                heappush(self._queue, entry)
+            heappush(self._queue, entry)
         elif delay == 0:
             self._ready.append(entry)
         else:
@@ -615,31 +397,13 @@ class Simulator:
         cancelled long before their deadline (retry timers, watchdogs).
         """
         # A full drain removes exactly the not-yet-purged cancellations,
-        # which _cancelled tracks precisely.  (A length delta would be
-        # wrong when called from a callback mid-run on the calendar
-        # backend: the run loop keeps its cursor in a local, so len()
-        # may still count already-dispatched entries of the current run.)
+        # which _cancelled tracks precisely.
         removed = self._cancelled
-        if self._cal_active:
-            # The run loop re-reads _cur/_cur_idx every iteration, so
-            # rebinding them mid-run (auto-drain from cancel()) is safe.
-            self._cur = [entry for entry in self._cur[self._cur_idx:]
-                         if entry[_CALLBACK] is not None]
-            self._cur_idx = 0
-            buckets = self._cal_buckets
-            for index, bucket in enumerate(buckets):
-                if bucket:
-                    live = [entry for entry in bucket
-                            if entry[_CALLBACK] is not None]
-                    if len(live) != len(bucket):
-                        buckets[index] = live
-            self._cal_count = sum(len(bucket) for bucket in buckets)
-        else:
-            # Compact in place: the heap run loop holds direct references
-            # to both containers, so they must never be rebound mid-run.
-            self._queue[:] = [entry for entry in self._queue
-                              if entry[_CALLBACK] is not None]
-            heapify(self._queue)
+        # Compact in place: the run loop holds direct references to both
+        # containers, so they must never be rebound mid-run.
+        self._queue[:] = [entry for entry in self._queue
+                          if entry[_CALLBACK] is not None]
+        heapify(self._queue)
         if self._ready:
             live = [entry for entry in self._ready
                     if entry[_CALLBACK] is not None]
@@ -661,11 +425,6 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Return the timestamp of the next pending event, or ``None``."""
         self._purge_ready()
-        if self._cal_active:
-            entry = self._cal_next()
-            if self._ready:
-                return self._now
-            return entry[_TIME] if entry is not None else None
         queue = self._queue
         while queue and queue[0][_CALLBACK] is None:
             heappop(queue)
@@ -684,33 +443,21 @@ class Simulator:
         """
         while True:
             self._purge_ready()
-            if self._cal_active:
-                entry = self._cal_next()
-                if self._ready:
-                    # Timer entries due now predate every ready entry
-                    # (see module docstring) and so run first.
-                    if entry is not None and entry[_TIME] <= self._now:
-                        self._cur_idx += 1
-                    else:
-                        entry = self._ready.popleft()
-                elif entry is not None:
-                    self._cur_idx += 1
-                else:
-                    return False
-            else:
-                queue = self._queue
-                while queue and queue[0][_CALLBACK] is None:
-                    heappop(queue)
-                    self._cancelled -= 1
-                if self._ready:
-                    if queue and queue[0][_TIME] <= self._now:
-                        entry = heappop(queue)
-                    else:
-                        entry = self._ready.popleft()
-                elif queue:
+            queue = self._queue
+            while queue and queue[0][_CALLBACK] is None:
+                heappop(queue)
+                self._cancelled -= 1
+            if self._ready:
+                # Timer entries due now predate every ready entry (see
+                # module docstring) and so run first.
+                if queue and queue[0][_TIME] <= self._now:
                     entry = heappop(queue)
                 else:
-                    return False
+                    entry = self._ready.popleft()
+            elif queue:
+                entry = heappop(queue)
+            else:
+                return False
             callback = entry[_CALLBACK]
             if callback is None:
                 self._cancelled -= 1
@@ -750,25 +497,21 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if not self._cal_active and self._policy == "auto":
-            self._maybe_adopt_calendar()
         self._running = True
         try:
             if self._sanitize:
                 # Sanitized runs dispatch through peek()/step() so every
-                # event passes the invariant checks; the fused loops
-                # below stay untouched (and unchecked) for the zero-cost
+                # event passes the invariant checks; the fused loop below
+                # stays untouched (and unchecked) for the zero-cost
                 # disabled case.
                 return self._run_sanitized(until, max_events)
-            if self._cal_active:
-                return self._run_calendar(until, max_events)
             return self._run_heap(until, max_events)
         finally:
             self._running = False
 
     def _run_sanitized(self, until: Optional[int],
                        max_events: Optional[int]) -> int:
-        """Checked dispatch loop: same semantics as the fused loops.
+        """Checked dispatch loop: same semantics as the fused loop.
 
         One ``peek()`` + ``step()`` pair per event instead of the fused
         single-pass dispatch -- slower (the sanitizer's documented
@@ -859,134 +602,6 @@ class Simulator:
             self._now = until
         return self._now
 
-    def _run_calendar(self, until: Optional[int], max_events: Optional[int]) -> int:
-        ready = self._ready
-        popleft = ready.popleft
-        executed = 0
-        budget = -1 if max_events is None else max_events
-        # Integer sentinel far beyond any plausible simulated time keeps
-        # the per-event deadline compare int-vs-int (a float("inf")
-        # compare is measurably slower in the hot loop).
-        deadline = (1 << 63) if until is None else until
-        now = self._now
-        # The run cursor lives in locals for the whole loop.  Callbacks
-        # that insort into the run mutate the same list object (safe: the
-        # insertion point is always at or after ``idx``, because pending
-        # entries before it are strictly smaller), and the only rebinding
-        # mutator -- drain_cancelled, via a callback's cancel() -- is
-        # detected by the identity check after each dispatch.  Writing
-        # ``self._cur_idx`` lazily is safe because its readers use it as
-        # a bisect lo-hint (push), a slice start whose spent prefix
-        # filters out anyway (drain), or an upper-bound count (__len__).
-        cur = self._cur
-        idx = self._cur_idx
-        try:
-            while now <= deadline:
-                if ready:
-                    # Timer entries due now predate the ready entries.
-                    # Any entry due <= now lives in the current run (the
-                    # push rule sends same-day entries there and _cal_day
-                    # tracks the day of the clock), so checking the run
-                    # suffices.
-                    entry = None
-                    if idx < len(cur):
-                        head = cur[idx]
-                        if head[_TIME] <= now:
-                            if head[_CALLBACK] is None:
-                                idx += 1
-                                self._cancelled -= 1
-                                continue
-                            if executed == budget:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events}; "
-                                    "possible livelock"
-                                )
-                            entry = head
-                            idx += 1
-                    if entry is None:
-                        entry = ready[0]
-                        if entry[_CALLBACK] is None:
-                            popleft()
-                            self._cancelled -= 1
-                            continue
-                        if executed == budget:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; possible livelock"
-                            )
-                        popleft()
-                else:
-                    if idx >= len(cur):
-                        self._cur_idx = idx
-                        if not self._cal_advance():
-                            break
-                        cur = self._cur
-                        idx = 0
-                    # Inner batch: dispatch the run back to back while no
-                    # ready entries appear.  The IndexError guard doubles
-                    # as the bounds check (zero-cost try in 3.11); the
-                    # run can grow mid-batch because callbacks insort
-                    # into it (always at or after idx, so the cursor
-                    # stays valid).
-                    stop = False
-                    while True:
-                        try:
-                            entry = cur[idx]
-                        except IndexError:
-                            break
-                        callback = entry[_CALLBACK]
-                        if callback is None:
-                            idx += 1
-                            self._cancelled -= 1
-                            continue
-                        time = entry[_TIME]
-                        if time > deadline:
-                            stop = True
-                            break
-                        if executed == budget:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; possible livelock"
-                            )
-                        idx += 1
-                        now = self._now = time
-                        executed += 1
-                        entry[_CALLBACK] = None
-                        if entry[_SINGLE]:
-                            callback(entry[_ARGS])
-                        else:
-                            callback(*entry[_ARGS])
-                        if cur is not self._cur:
-                            # drain_cancelled rebound the run; our spent
-                            # entries were filtered out of the fresh one.
-                            cur = self._cur
-                            idx = self._cur_idx
-                        if ready:
-                            break
-                    if stop:
-                        break
-                    continue
-                executed += 1
-                callback = entry[_CALLBACK]
-                entry[_CALLBACK] = None
-                if entry[_SINGLE]:
-                    callback(entry[_ARGS])
-                else:
-                    callback(*entry[_ARGS])
-                if cur is not self._cur:
-                    # drain_cancelled rebound the run mid-dispatch; the
-                    # entries we already spent were filtered out of the
-                    # fresh run, so restart the cursor from its state.
-                    cur = self._cur
-                    idx = self._cur_idx
-        finally:
-            # Flushed on every exit path so events_processed and the
-            # run cursor are exact even when a callback raises.
-            self._event_count += executed
-            if cur is self._cur:
-                self._cur_idx = idx
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
         """Run the simulation to completion with a livelock guard."""
         return self.run(max_events=max_events)
@@ -1014,12 +629,6 @@ class _CSimulator(Simulator):
     * identical lazy-cancellation accounting, ``drain_cancelled``
       return values, auto-drain thresholds, exact ``max_events``
       budgets and ``run(until=...)`` end-of-run clock behaviour;
-    * ``scheduler``/``scheduler_policy`` report the same backend the
-      Python engine would pick (the deterministic auto-adoption scan is
-      mirrored), though the C core serves every backend from one packed
-      (time, seq) heap -- the calendar queue is a pure-Python
-      *performance* structure with nothing left to buy at C speed (see
-      ``_ccore.c``).
 
     Divergence, deliberate and loud: delays/times must be ints
     (``__index__``); the compiled core raises ``TypeError`` where the
@@ -1033,17 +642,8 @@ class _CSimulator(Simulator):
                  "call_after", "cancel", "is_cancelled", "drain_cancelled",
                  "peek", "step", "run")
 
-    def __init__(self, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                 calendar_buckets: int = 8192,
-                 sanitize: Optional[bool] = None,
+    def __init__(self, sanitize: Optional[bool] = None,
                  core: Optional[str] = None) -> None:
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             "(expected 'heap', 'calendar' or 'auto')")
-        if calendar_bucket_ns <= 0 or calendar_bucket_ns & (calendar_bucket_ns - 1):
-            raise ValueError("calendar_bucket_ns must be a positive power of two")
-        if calendar_buckets <= 0 or calendar_buckets & (calendar_buckets - 1):
-            raise ValueError("calendar_buckets must be a positive power of two")
         ccore = _CCORE_STATE["module"]
         if ccore is None:  # direct instantiation outside the factory
             ccore = _load_ccore(build=True)
@@ -1051,11 +651,8 @@ class _CSimulator(Simulator):
                 raise SimulationError(
                     "compiled dispatch core unavailable: "
                     f"{_CCORE_STATE['error'] or 'import failed'}")
-        policy_code = {"heap": 0, "calendar": 1, "auto": 2}[scheduler]
-        eng = ccore.Engine(SimulationError, policy_code, calendar_bucket_ns,
-                           1 if scheduler == "calendar" else 0)
+        eng = ccore.Engine(SimulationError)
         self._eng = eng
-        self._policy = scheduler
         self._sanitize = False
         self.schedule = eng.schedule
         self.schedule_at = eng.schedule_at
@@ -1077,11 +674,6 @@ class _CSimulator(Simulator):
     def events_processed(self) -> int:
         """Total number of callbacks executed so far (exact after run)."""
         return self._eng.events_processed
-
-    @property
-    def scheduler(self) -> str:
-        """Timer backend currently reported (``"heap"`` or ``"calendar"``)."""
-        return "calendar" if self._eng.calendar_active else "heap"
 
     @property
     def core(self) -> str:

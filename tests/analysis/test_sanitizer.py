@@ -1,4 +1,4 @@
-"""Runtime sanitizer tests: invariants, mutation detection, lockstep.
+"""Runtime sanitizer tests: invariants, dispatch trace, mutation detection.
 
 The mutation tests re-introduce the three historical engine bugs at
 class level (``__slots__`` forbids instance patching) and assert the
@@ -9,7 +9,6 @@ from heapq import heappush
 
 import pytest
 
-from repro.analysis.lockstep import lockstep_cross_check
 from repro.core.config import VeniceConfig
 from repro.core.system import VeniceSystem
 from repro.fabric.datalink import DataLink, DataLinkConfig
@@ -48,9 +47,8 @@ def test_dispatch_trace_requires_sanitize(monkeypatch):
         Simulator().enable_dispatch_trace()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_sanitized_run_dispatches_in_total_order(scheduler):
-    sim = Simulator(scheduler=scheduler, sanitize=True)
+def test_sanitized_run_dispatches_in_total_order():
+    sim = Simulator(sanitize=True)
     trace = sim.enable_dispatch_trace()
     fired = []
     for delay in (500, 100, 300, 100, 700, 200):
@@ -67,7 +65,7 @@ def test_sanitized_run_dispatches_in_total_order(scheduler):
 # Mutation 1: backwards clock
 # ----------------------------------------------------------------------
 def test_mutation_backwards_clock_detected():
-    sim = Simulator(scheduler="heap", sanitize=True)
+    sim = Simulator(sanitize=True)
     sim.call_after(100, _noop)
     sim.run()
     assert sim.now == 100
@@ -84,7 +82,7 @@ def test_unsanitized_run_misses_backwards_clock(monkeypatch):
     monkeypatch.delenv("SIM_SANITIZE", raising=False)
     # core="py": the corruption is planted by reaching into the Python
     # engine's raw heap list, which the compiled core does not have.
-    sim = Simulator(scheduler="heap", core="py")
+    sim = Simulator(core="py")
     sim.call_after(100, _noop)
     sim.run()
     heappush(sim._queue, [50, 10 ** 9, _noop, None, True, None])  # simlint: disable=SIM007 -- deliberate white-box corruption
@@ -237,74 +235,3 @@ def test_transport_lifecycle_audit_detects_handler_leak():
     transport.expect(orphan, _noop)
     with pytest.raises(SanitizerError, match="stale-handler leak"):
         transport.check_packet_lifecycle()
-
-
-# ----------------------------------------------------------------------
-# Lockstep heap-vs-calendar cross-check
-# ----------------------------------------------------------------------
-def _timer_and_credit_workload(sim):
-    pool = CreditPool(sim, initial=2, maximum=4)
-    for delay in (300, 100, 700, 100, 500):
-        sim.call_after(delay, _noop)
-    for _ in range(4):
-        pool.take(1)
-    sim.call_after(250, lambda _v=None: pool.replenish(2))
-    sim.call_after(600, lambda _v=None: pool.replenish(2))
-
-
-def _fabric_workload(sim):
-    link = PhysicalLink(sim, LinkConfig())
-    datalink = DataLink(sim, link, DataLinkConfig(credits=4))
-    datalink.connect(_noop)
-    for index in range(32):
-        datalink.send_and_forget(
-            Packet(src=0, dst=1, kind=PacketKind.QPAIR_DATA,
-                   payload_bytes=64 + 16 * (index % 3)))
-
-
-@pytest.mark.parametrize("build", [_timer_and_credit_workload,
-                                   _fabric_workload])
-def test_lockstep_identical_across_schedulers(build):
-    result = lockstep_cross_check(build)
-    assert result.ok, result.divergence.render()
-    assert result.events_heap == result.events_calendar > 0
-
-
-def _diverging_build_factory():
-    seen = []
-
-    def build(sim):
-        # Models a scheduler-order bug: the two runs schedule different
-        # callbacks at the same timestamp.
-        sim.call_after(10, _noop if not seen else _other_noop)
-        seen.append(sim)
-
-    return build
-
-
-def _other_noop(_value=None):
-    return None
-
-
-def test_lockstep_reports_first_divergence():
-    result = lockstep_cross_check(_diverging_build_factory())
-    assert not result.ok
-    assert result.divergence.index == 0
-    rendered = result.divergence.render()
-    assert "_noop" in rendered and "_other_noop" in rendered
-
-
-def test_lockstep_reports_length_divergence():
-    seen = []
-
-    def build(sim):
-        sim.call_after(10, _noop)
-        if seen:
-            sim.call_after(20, _noop)
-        seen.append(sim)
-
-    result = lockstep_cross_check(build)
-    assert not result.ok
-    assert result.divergence.index == 1
-    assert result.divergence.heap_entry is None
-    assert "<stream ended>" in result.divergence.render()

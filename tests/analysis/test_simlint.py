@@ -277,10 +277,10 @@ def test_sim007_flags_queue_access_outside_sim_tree():
     assert "_queue" in findings[0].message
 
 
-def test_sim007_flags_calendar_state():
+def test_sim007_flags_ready_deque_and_c_core_state():
     findings = _lint("""
         def snoop(sim):
-            return len(sim._cal_buckets) + sim._cal_count
+            return len(sim._ready) + len(sim._eng)
     """, rel_posix="src/repro/fabric/switch2.py")
     assert _rules(findings) == ["SIM007", "SIM007"]
 

@@ -1,7 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import os
-
 import pytest
 
 from repro.core.config import VeniceConfig
@@ -13,11 +11,10 @@ from repro.sim.engine import Simulator
 def sim() -> Simulator:
     """A fresh simulator instance.
 
-    ``SIM_SCHEDULER`` pins the timer backend (the CI sanitize job runs
-    the suite once per backend); unset, the default ``auto`` policy
-    applies.  ``SIM_SANITIZE`` is read by the Simulator itself.
+    ``SIM_CORE`` and ``SIM_SANITIZE`` are read by the Simulator itself
+    (the CI ``ccore`` and ``sanitize-tests`` jobs set them).
     """
-    return Simulator(scheduler=os.environ.get("SIM_SCHEDULER", "auto"))
+    return Simulator()
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ processing and credit machinery, so the event fabric reads slightly
 *higher*, never lower, and never by more than the stated bound.
 
 The event path must also be deterministic: identical op sequences give
-identical measurements run-to-run and across simulator scheduler
-backends (heap versus calendar queue).
+identical measurements run-to-run and across dispatch cores (the
+pure-Python engine versus the compiled core).
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.core.channels.backend import (
     TransportError,
 )
 from repro.experiments.common import ExperimentPlatform
+from repro.sim import engine
 
 #: Stated parity bound: uncontended event measurements may exceed the
 #: closed forms by at most this relative margin (the datalink/receive
@@ -30,8 +31,8 @@ LINE = 64
 PAGE = 4096
 
 
-def _event_platform(scheduler="auto"):
-    return ExperimentPlatform(backend="event", scheduler=scheduler)
+def _event_platform():
+    return ExperimentPlatform(backend="event")
 
 
 def _op_table(platform):
@@ -144,10 +145,19 @@ def test_event_backend_rejects_closed_form_only_stream_knobs():
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
-def test_event_measurements_identical_across_runs_and_schedulers():
-    baseline = _op_table(_event_platform("heap"))
-    for scheduler in ("heap", "calendar"):
-        assert _op_table(_event_platform(scheduler)) == baseline
+def test_event_measurements_identical_across_runs():
+    baseline = _op_table(_event_platform())
+    assert _op_table(_event_platform()) == baseline
+
+
+@pytest.mark.skipif(engine._load_ccore() is None,
+                    reason="compiled dispatch core not built "
+                           "(python -m repro.sim._ccore_build)")
+def test_event_measurements_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    baseline = _op_table(_event_platform())
+    monkeypatch.setenv("SIM_CORE", "c")
+    assert _op_table(_event_platform()) == baseline
 
 
 def test_contended_measurements_deterministic():

@@ -3,7 +3,7 @@
 Submitted ops from concurrent requesters must genuinely share sim time
 (completion span materially below the sum of serialized spans on
 disjoint routes), contend for real on shared routes, stay byte-identical
-across simulator scheduler backends, and never leak expected-packet
+across dispatch cores, and never leak expected-packet
 handlers across cross-traffic driver lifecycles.
 """
 
@@ -15,14 +15,15 @@ from repro.core.channels.backend import PendingOp, TransportError
 from repro.core.config import VeniceConfig
 from repro.core.system import VeniceSystem
 from repro.experiments.common import ExperimentPlatform
+from repro.sim import engine
 
 LINE = 64
 
 
-def _event_system(num_nodes=8, topology="fat_tree", scheduler="auto"):
+def _event_system(num_nodes=8, topology="fat_tree"):
     return VeniceSystem.build(
         VeniceConfig(num_nodes=num_nodes, topology=topology),
-        transport_backend="event", scheduler=scheduler)
+        transport_backend="event")
 
 
 # ----------------------------------------------------------------------
@@ -92,11 +93,10 @@ def test_concurrent_ops_on_shared_route_queue_behind_each_other():
 
 
 # ----------------------------------------------------------------------
-# Determinism across scheduler backends
+# Determinism across dispatch cores
 # ----------------------------------------------------------------------
-def _concurrent_batch_fingerprint(scheduler):
-    system = _event_system(num_nodes=8, topology="star",
-                           scheduler=scheduler)
+def _concurrent_batch_fingerprint():
+    system = _event_system(num_nodes=8, topology="star")
     transport = system.event_transport()
     ops = []
     for index in range(6):
@@ -117,9 +117,14 @@ def _concurrent_batch_fingerprint(scheduler):
     }, sort_keys=True)
 
 
-def test_concurrent_dispatch_identical_across_schedulers():
-    baseline = _concurrent_batch_fingerprint("heap")
-    assert _concurrent_batch_fingerprint("calendar") == baseline
+@pytest.mark.skipif(engine._load_ccore() is None,
+                    reason="compiled dispatch core not built "
+                           "(python -m repro.sim._ccore_build)")
+def test_concurrent_dispatch_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    baseline = _concurrent_batch_fingerprint()
+    monkeypatch.setenv("SIM_CORE", "c")
+    assert _concurrent_batch_fingerprint() == baseline
 
 
 # ----------------------------------------------------------------------

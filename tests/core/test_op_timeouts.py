@@ -9,7 +9,6 @@ handlers so the lifecycle books still balance, and
 backoff.
 """
 
-import os
 
 import pytest
 
@@ -27,7 +26,6 @@ LINE = 64
 def _pair_system(sanitize=None):
     return VeniceSystem.build(
         VeniceConfig.pair(), transport_backend="event",
-        scheduler=os.environ.get("SIM_SCHEDULER", "auto"),
         sanitize=sanitize)
 
 

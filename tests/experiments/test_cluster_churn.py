@@ -4,11 +4,10 @@ Small configs only: the full sweep runs in CI as the ``churn-smoke``
 job.  What must hold at any size: the run completes with zero hangs
 (every read delivers or gives up typed), the report carries every
 recovery series, and the canonical stats dump is byte-identical across
-repeats and across timer backends for a fixed campaign seed.
+repeats and across dispatch cores for a fixed campaign seed.
 """
 
 import json
-import os
 
 import pytest
 
@@ -18,6 +17,7 @@ from repro.experiments.fig_cluster_churn import (
     churn_stats_dump,
     run_fig_cluster_churn,
 )
+from repro.sim import engine
 
 SERIES = ("goodput_ops_per_ms", "throughput_degradation_percent",
           "replay_amplification", "crash_detection_ns", "reborrow_ns",
@@ -26,8 +26,7 @@ SERIES = ("goodput_ops_per_ms", "throughput_degradation_percent",
 
 def _small_config(**overrides):
     settings = dict(node_counts=(8,), fault_scales=(1,),
-                    horizon_ns=2_000_000,
-                    scheduler=os.environ.get("SIM_SCHEDULER", "auto"))
+                    horizon_ns=2_000_000)
     settings.update(overrides)
     return ClusterChurnConfig(**settings)
 
@@ -47,8 +46,6 @@ def test_config_validation():
         ClusterChurnConfig(horizon_ns=0)
     with pytest.raises(ValueError):
         ClusterChurnConfig(deadline_ns=0)
-    with pytest.raises(ValueError):
-        ClusterChurnConfig(scheduler="fifo")
     config = ClusterChurnConfig(node_counts=(16, 8, 16),
                                 fault_scales=(2, 1, 2))
     assert config.node_counts == (8, 16)
@@ -78,12 +75,14 @@ def test_stats_dump_is_deterministic_across_repeats():
     assert first == second
 
 
-def test_stats_dump_identical_across_timer_backends():
-    heap = churn_stats_dump(_small_config(scheduler="heap"),
-                            num_nodes=8, scale=1)
-    calendar = churn_stats_dump(_small_config(scheduler="calendar"),
-                                num_nodes=8, scale=1)
-    assert heap == calendar
+@pytest.mark.skipif(engine._load_ccore() is None,
+                    reason="compiled dispatch core not built "
+                           "(python -m repro.sim._ccore_build)")
+def test_stats_dump_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    pure = churn_stats_dump(_small_config(), num_nodes=8, scale=1)
+    monkeypatch.setenv("SIM_CORE", "c")
+    assert churn_stats_dump(_small_config(), num_nodes=8, scale=1) == pure
 
 
 def test_every_read_resolves_typed():

@@ -19,8 +19,6 @@ def test_config_validation():
         ClusterContendedConfig(topology="mesh3d")
     with pytest.raises(ValueError):
         ClusterContendedConfig(reads_per_borrower=0)
-    with pytest.raises(ValueError):
-        ClusterContendedConfig(scheduler="fifo")
     config = ClusterContendedConfig(node_counts=(8, 2, 8))
     assert config.node_counts == (2, 8)
 

@@ -1,8 +1,8 @@
 """mn_failover experiment: determinism, zero loss, throughput, policy.
 
 The acceptance gates of the sharded-MN PR live here: the failover run
-is byte-identical across repeats and across the heap and calendar
-timer backends for a fixed seed; no allocation is lost across crashes
+is byte-identical across repeats and across the Python and compiled
+dispatch cores for a fixed seed; no allocation is lost across crashes
 (with the sanitizer on); the 4-shard coordinator clears the 64-node
 batched-borrow sweep at >= 2x the single-MN serial cost; and the
 contention-aware policy measurably beats distance-first on the
@@ -10,6 +10,8 @@ contended 16-node sweep.
 """
 
 import json
+
+import pytest
 
 from repro.experiments.fig_mn_failover import (
     MnFailoverConfig,
@@ -19,18 +21,26 @@ from repro.experiments.fig_mn_failover import (
     mn_failover_stats_dump,
     run_fig_mn_failover,
 )
+from repro.sim import engine
 
 
 def _config(**overrides):
     return MnFailoverConfig(**overrides)
 
 
-def test_failover_run_is_byte_identical_across_timer_backends():
-    heap = mn_failover_stats_dump(_config(scheduler="heap"))
-    calendar = mn_failover_stats_dump(_config(scheduler="calendar"))
-    repeat = mn_failover_stats_dump(_config(scheduler="heap"))
-    assert heap == calendar
-    assert heap == repeat
+def test_failover_run_is_byte_identical_across_repeats():
+    first = mn_failover_stats_dump(_config())
+    assert mn_failover_stats_dump(_config()) == first
+
+
+@pytest.mark.skipif(engine._load_ccore() is None,
+                    reason="compiled dispatch core not built "
+                           "(python -m repro.sim._ccore_build)")
+def test_failover_run_is_byte_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    pure = mn_failover_stats_dump(_config())
+    monkeypatch.setenv("SIM_CORE", "c")
+    assert mn_failover_stats_dump(_config()) == pure
 
 
 def test_failover_loses_no_allocations_and_balances_the_ledger():

@@ -1,18 +1,20 @@
 """Determinism regression guard for the fast-path engine rewrite.
 
 The engine optimisations (fused dispatch loop, ready-queue fast path,
-callback-chain receive path, calendar-queue scheduler, batched credit
-returns) must preserve event ordering exactly: the same
-``DeterministicRNG`` seed over the same fleet has to produce
-byte-identical statistics, run after run -- and **across timer
-backends**: the calendar queue dispatches in exactly the same
-(time, seq) order as the binary heap, so their stats dumps must match
-byte for byte too.  These tests drive a 16-node star sweep over the
-full event fabric -- the heaviest deterministic workload in the suite
--- and compare canonical JSON dumps of every component's statistics.
+callback-chain receive path, batched credit returns) must preserve
+event ordering exactly: the same ``DeterministicRNG`` seed over the
+same fleet has to produce byte-identical statistics, run after run --
+and **across dispatch cores**: the compiled core dispatches in exactly
+the same (time, seq) order as the pure-Python engine, so their stats
+dumps must match byte for byte too.  These tests drive a 16-node star
+sweep over the full event fabric -- the heaviest deterministic
+workload in the suite -- and compare canonical JSON dumps of every
+component's statistics.
 """
 
 from dataclasses import replace
+
+import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.experiments.fig_cluster_contention import (
@@ -21,7 +23,12 @@ from repro.experiments.fig_cluster_contention import (
     _probe_plan,
     run_fig_cluster_contention,
 )
+from repro.sim import engine
 from repro.sim.rng import DeterministicRNG
+
+requires_ccore = pytest.mark.skipif(
+    engine._load_ccore() is None,
+    reason="compiled dispatch core not built (python -m repro.sim._ccore_build)")
 
 STAR16 = ClusterContentionConfig(
     node_counts=(16,),
@@ -31,9 +38,9 @@ STAR16 = ClusterContentionConfig(
 )
 
 
-def star16_dump(seed: int, contended: bool = True, scheduler: str = "auto",
+def star16_dump(seed: int, contended: bool = True,
                 closed_loop: bool = False) -> str:
-    config = replace(STAR16, scheduler=scheduler, closed_loop=closed_loop)
+    config = replace(STAR16, closed_loop=closed_loop)
     cluster = Cluster(ClusterConfig(num_nodes=16, topology="star"))
     probes = _probe_plan(cluster, config, DeterministicRNG(seed))
     run = _FabricRun(cluster, config, probes, contended=contended,
@@ -52,23 +59,33 @@ def test_same_seed_star16_uncontended_is_byte_identical():
         seed=7, contended=False)
 
 
-def test_heap_and_calendar_backends_are_byte_identical():
-    # The calendar queue must preserve exact (time, seq) dispatch order:
-    # the same seed under either backend yields the same stats dump.
-    heap = star16_dump(seed=7, scheduler="heap")
-    calendar = star16_dump(seed=7, scheduler="calendar")
-    assert heap == calendar
+def _dumps_per_core(monkeypatch, **kwargs):
+    """The star16 dump on the Python core, then on the compiled core."""
+    dumps = []
+    for core in ("py", "c"):
+        monkeypatch.setenv("SIM_CORE", core)
+        dumps.append(star16_dump(seed=7, **kwargs))
+    return dumps
 
 
-def test_heap_and_calendar_backends_identical_uncontended():
-    assert star16_dump(seed=7, contended=False, scheduler="heap") == \
-        star16_dump(seed=7, contended=False, scheduler="calendar")
+@requires_ccore
+def test_python_and_compiled_cores_are_byte_identical(monkeypatch):
+    # The compiled core must preserve exact (time, seq) dispatch order:
+    # the same seed on either core yields the same stats dump.
+    pure, compiled = _dumps_per_core(monkeypatch)
+    assert pure == compiled
 
 
-def test_heap_and_calendar_backends_identical_closed_loop():
-    heap = star16_dump(seed=7, scheduler="heap", closed_loop=True)
-    calendar = star16_dump(seed=7, scheduler="calendar", closed_loop=True)
-    assert heap == calendar
+@requires_ccore
+def test_python_and_compiled_cores_identical_uncontended(monkeypatch):
+    pure, compiled = _dumps_per_core(monkeypatch, contended=False)
+    assert pure == compiled
+
+
+@requires_ccore
+def test_python_and_compiled_cores_identical_closed_loop(monkeypatch):
+    pure, compiled = _dumps_per_core(monkeypatch, closed_loop=True)
+    assert pure == compiled
 
 
 def test_same_seed_closed_loop_is_byte_identical():

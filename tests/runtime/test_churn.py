@@ -1,14 +1,12 @@
 """Churn engine: campaign determinism, apply/heal, detection latency.
 
 The campaign generator must be a pure function of ``(config, topology)``
--- same seed, same faults, on any machine and either timer backend --
+-- same seed, same faults, on any machine and either dispatch core --
 and the engine must leave the fabric clean whenever it stops: every
 fault it applied is healed, every timer it installed is cancelled.
 Detection is *measured*: a crashed node is found by the heartbeat pump
 within one timeout plus a couple of pump periods, never instantly.
 """
-
-import os
 
 import pytest
 
@@ -22,17 +20,13 @@ from repro.runtime.churn import (
 )
 from repro.runtime.fault import FaultHandler
 from repro.runtime.tables import LinkStatus
+from repro.sim import engine
 
 
-def _scheduler():
-    return os.environ.get("SIM_SCHEDULER", "auto")
-
-
-def _cluster(num_nodes=4, topology="star", scheduler=None):
+def _cluster(num_nodes=4, topology="star"):
     return Cluster(ClusterConfig(
         num_nodes=num_nodes, topology=topology,
-        transport_backend="event",
-        scheduler=scheduler or _scheduler()))
+        transport_backend="event"))
 
 
 def _engine(cluster, config):
@@ -239,11 +233,10 @@ def test_detection_fires_the_failure_hook_exactly_once():
 
 
 # ----------------------------------------------------------------------
-# Cross-backend determinism of the engine itself
+# Cross-core determinism of the engine itself
 # ----------------------------------------------------------------------
-def _campaign_outcome(scheduler):
-    cluster = _cluster(num_nodes=8, topology="fat_tree",
-                       scheduler=scheduler)
+def _campaign_outcome():
+    cluster = _cluster(num_nodes=8, topology="fat_tree")
     config = ChurnConfig(seed=13, horizon_ns=2_000_000, link_flaps=2,
                          router_failures=1, node_crashes=1,
                          flap_duration_ns=300_000, router_down_ns=300_000,
@@ -258,8 +251,14 @@ def _campaign_outcome(scheduler):
     return engine.stats_dict()
 
 
-def test_engine_stats_identical_across_timer_backends():
-    assert _campaign_outcome("heap") == _campaign_outcome("calendar")
+@pytest.mark.skipif(engine._load_ccore() is None,
+                    reason="compiled dispatch core not built "
+                           "(python -m repro.sim._ccore_build)")
+def test_engine_stats_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    pure = _campaign_outcome()
+    monkeypatch.setenv("SIM_CORE", "c")
+    assert _campaign_outcome() == pure
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +297,7 @@ def test_churn_config_validates_mn_crash_down():
 def test_engine_crashes_promotes_and_rejoins_monitor_shards():
     cluster = Cluster(ClusterConfig(
         num_nodes=8, topology="fat_tree", monitor_shards=2,
-        transport_backend="event", scheduler=_scheduler()))
+        transport_backend="event"))
     monitor = cluster.monitor
     shares = [share for batch in cluster.matchmaker.borrow_many(
         [(node, 1024 * 1024) for node in cluster.node_ids])

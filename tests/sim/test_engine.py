@@ -2,7 +2,20 @@
 
 import pytest
 
+from repro.sim import engine
 from repro.sim.engine import SimulationError, Simulator
+
+
+@pytest.fixture(params=[
+    "py",
+    pytest.param("c", marks=pytest.mark.skipif(
+        engine._load_ccore() is None,
+        reason="compiled dispatch core not built "
+               "(python -m repro.sim._ccore_build)")),
+])
+def core_sim(request) -> Simulator:
+    """A fresh simulator on each dispatch core that is available."""
+    return Simulator(core=request.param)
 
 
 def test_initial_time_is_zero(sim):
@@ -54,9 +67,11 @@ def test_run_until_stops_at_deadline(sim):
     sim.run(until=200)
     assert fired == ["early"]
     assert sim.now == 200
-    # The remaining event still runs on the next call.
+    # A timer scheduled after the deadline, but due before the pending
+    # one, runs first; the remaining event still runs on the next call.
+    sim.schedule(100, fired.append, "rescheduled")
     sim.run_until_idle()
-    assert fired == ["early", "late"]
+    assert fired == ["early", "rescheduled", "late"]
 
 
 def test_run_until_advances_clock_when_queue_drains_early(sim):
@@ -114,9 +129,12 @@ def test_step_executes_exactly_one_event(sim):
     fired = []
     sim.schedule(10, fired.append, 1)
     sim.schedule(20, fired.append, 2)
+    assert sim.peek() == 10
     assert sim.step() is True
     assert fired == [1]
+    assert sim.peek() == 20
     assert sim.step() is True
+    assert sim.peek() is None
     assert sim.step() is False
 
 
@@ -148,3 +166,56 @@ def test_events_processed_counter(sim):
         sim.schedule(index, lambda: None)
     sim.run_until_idle()
     assert sim.events_processed == 7
+
+
+# ----------------------------------------------------------------------
+# Timer-queue ordering and cancellation, on every dispatch core
+# ----------------------------------------------------------------------
+def test_insertion_during_dispatch_stays_ordered(core_sim):
+    # A callback inserts a timer that lands between already-pending ones.
+    sim = core_sim
+    order = []
+
+    def parent(_v=None):
+        order.append("parent")
+        sim.call_after(20, lambda _v: order.append("child"))
+
+    sim.call_after(64, parent)
+    sim.call_after(70, lambda _v: order.append("sibling70"))
+    sim.call_after(90, lambda _v: order.append("sibling90"))
+    sim.run_until_idle()
+    assert order == ["parent", "sibling70", "child", "sibling90"]
+    assert sim.now == 90
+
+
+def test_cancel_from_a_callback_skips_the_pending_timer(core_sim):
+    sim = core_sim
+    fired = []
+    victim = sim.schedule(60, fired.append, "victim")
+
+    def killer(_v=None):
+        sim.cancel(victim)
+
+    sim.call_after(50, killer)
+    sim.schedule(70, fired.append, "survivor")
+    sim.run_until_idle()
+    assert fired == ["survivor"]
+
+
+def test_mid_run_drain_counts_the_cancellation(core_sim):
+    # drain_cancelled() called from a callback mid-run reports exactly
+    # the cancellations still buried in the queue.
+    sim = core_sim
+    counts = []
+    for delay in range(10, 15):
+        sim.schedule(delay, lambda: None)
+    victim = sim.schedule(100, lambda: None)
+
+    def actor(_v=None):
+        sim.cancel(victim)
+        counts.append(sim.drain_cancelled())
+
+    sim.schedule(50, actor)
+    sim.run_until_idle()
+    assert counts == [1]
+    assert sim.events_processed == 6

@@ -172,9 +172,7 @@ def test_step_orders_heap_before_ready_at_same_time(sim):
     assert order == ["heap-parent", "parent", "child"]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_rearming_call_after_respects_run_until_deadline(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_rearming_call_after_respects_run_until_deadline(sim):
     fired = []
 
     def rearm(value):
@@ -190,9 +188,7 @@ def test_rearming_call_after_respects_run_until_deadline(scheduler):
     assert fired[-1] == (500, 4)
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_call_after_and_schedule_interleave_by_creation_order(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_call_after_and_schedule_interleave_by_creation_order(sim):
     trace = []
     sim.call_after(10, trace.append, "after-1")
     sim.call_after(10, trace.append, "after-2")
