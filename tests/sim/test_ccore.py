@@ -1,12 +1,14 @@
 """Compiled dispatch core: parity with the Python engine, and fallback.
 
-Two layers of assurance for ``repro.sim._ccore``:
+Three layers of assurance for ``repro.sim._ccore``:
 
 * randomized property tests -- seeded storms and plans of schedules,
   cancels and callback-driven rescheduling must produce the exact same
   dispatch trace and accounting on the C core as on the pure-Python
-  reference engine (the star16 stats-dump comparison across cores
-  lives in ``tests/integration/test_determinism.py``);
+  reference engine;
+* the star16 contended sweep dumps byte-identical statistics on both
+  cores (here under a second seed; ``tests/integration/
+  test_determinism.py`` checks seed 7 and the other sweep variants);
 * fallback policy -- a missing extension must degrade to the Python
   engine *silently* under ``core="auto"`` (the no-compiler scenario),
   a broken or ABI-mismatched extension warns exactly once, and an
@@ -234,6 +236,30 @@ def test_run_until_and_max_events_budgets_match():
         ran += sim.run()
         results.append((fired[:], ran, sim.now, len(sim)))
     assert results[0] == results[1]
+
+
+def _star16_dump(seed: int) -> str:
+    from repro.cluster import Cluster, ClusterConfig
+    from repro.experiments.fig_cluster_contention import (
+        ClusterContentionConfig, _FabricRun, _probe_plan)
+
+    config = ClusterContentionConfig(
+        node_counts=(16,), topology="star", probes_per_node=2,
+        cross_traffic_per_node=6)
+    cluster = Cluster(ClusterConfig(num_nodes=16, topology="star"))
+    probes = _probe_plan(cluster, config, DeterministicRNG(seed))
+    run = _FabricRun(cluster, config, probes, contended=True,
+                     rng=DeterministicRNG(seed))
+    return run.stats_dump()
+
+
+@requires_ccore
+def test_star16_dump_byte_identical_across_cores(monkeypatch):
+    monkeypatch.setenv("SIM_CORE", "py")
+    pure = _star16_dump(seed=2016)
+    monkeypatch.setenv("SIM_CORE", "c")
+    compiled = _star16_dump(seed=2016)
+    assert pure == compiled
 
 
 # ----------------------------------------------------------------------

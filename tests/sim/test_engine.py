@@ -67,11 +67,9 @@ def test_run_until_stops_at_deadline(sim):
     sim.run(until=200)
     assert fired == ["early"]
     assert sim.now == 200
-    # A timer scheduled after the deadline, but due before the pending
-    # one, runs first; the remaining event still runs on the next call.
-    sim.schedule(100, fired.append, "rescheduled")
+    # The remaining event still runs on the next call.
     sim.run_until_idle()
-    assert fired == ["early", "rescheduled", "late"]
+    assert fired == ["early", "late"]
 
 
 def test_run_until_advances_clock_when_queue_drains_early(sim):
@@ -129,12 +127,9 @@ def test_step_executes_exactly_one_event(sim):
     fired = []
     sim.schedule(10, fired.append, 1)
     sim.schedule(20, fired.append, 2)
-    assert sim.peek() == 10
     assert sim.step() is True
     assert fired == [1]
-    assert sim.peek() == 20
     assert sim.step() is True
-    assert sim.peek() is None
     assert sim.step() is False
 
 
@@ -219,3 +214,83 @@ def test_mid_run_drain_counts_the_cancellation(core_sim):
     sim.run_until_idle()
     assert counts == [1]
     assert sim.events_processed == 6
+
+
+def test_same_time_events_keep_scheduling_order_on_each_core(core_sim):
+    sim = core_sim
+    order = []
+    for index in range(10):
+        sim.schedule(50, order.append, index)
+    sim.run_until_idle()
+    assert order == list(range(10))
+
+
+def test_timer_due_now_runs_before_ready_entries_on_each_core(core_sim):
+    sim = core_sim
+    order = []
+    sim.schedule(10, order.append, "timer-parent")
+
+    def parent(_v=None):
+        order.append("parent")
+        sim.call_soon(order.append, "child")
+
+    sim.schedule(10, parent)
+    sim.run_until_idle()
+    assert order == ["timer-parent", "parent", "child"]
+
+
+def test_cancellation_and_drain_on_each_core(core_sim):
+    sim = core_sim
+    fired = []
+    keep = sim.schedule(1000, fired.append, "keep")
+    drop = [sim.schedule(2000 + index, fired.append, "drop")
+            for index in range(50)]
+    for handle in drop:
+        sim.cancel(handle)
+    assert len(sim) == 51
+    assert sim.drain_cancelled() == 50
+    assert len(sim) == 1
+    sim.run_until_idle()
+    assert fired == ["keep"]
+    sim.cancel(keep)  # late cancel is a no-op
+    assert fired == ["keep"]
+
+
+def test_peek_and_step_on_each_core(core_sim):
+    sim = core_sim
+    fired = []
+    assert sim.peek() is None
+    sim.schedule(42, fired.append, 1)
+    sim.schedule(99, fired.append, 2)
+    assert sim.peek() == 42
+    assert sim.step() is True
+    assert fired == [1]
+    assert sim.peek() == 99
+    assert sim.step() is True
+    assert sim.peek() is None
+    assert sim.step() is False
+
+
+def test_run_until_deadline_then_reschedule_earlier_on_each_core(core_sim):
+    # Stop at a deadline, then schedule a timer due before the one still
+    # pending; the new entry must dispatch first.
+    sim = core_sim
+    order = []
+    sim.schedule(500_000, order.append, "late")
+    sim.run(until=1000)
+    assert sim.now == 1000
+    sim.schedule(100, order.append, "early")
+    sim.run_until_idle()
+    assert order == ["early", "late"]
+
+
+def test_max_events_budget_exact_on_each_core(core_sim):
+    sim = core_sim
+    fired = []
+    for index in range(5):
+        sim.schedule(10 + index * 10, fired.append, index)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=3)
+    assert fired == [0, 1, 2]
+    assert sim.run(max_events=2) == 50
+    assert fired == [0, 1, 2, 3, 4]
