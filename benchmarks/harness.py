@@ -373,7 +373,7 @@ class ChurnOpsDriver:
 
     def __init__(self, ops: int, sanitize: Optional[bool] = None,
                  seed: int = 2016):
-        from repro.cluster import Cluster, ClusterConfig
+        from repro.cluster.cluster import Cluster, ClusterConfig
         from repro.core.channels.backend import RetryPolicy
         from repro.runtime.churn import ChurnConfig, ChurnEngine
         from repro.runtime.fault import FaultHandler
@@ -456,7 +456,7 @@ class MnShardOpsDriver:
 
     def __init__(self, ops: int, sanitize: Optional[bool] = None,
                  seed: int = 2016, shards: int = 2):
-        from repro.cluster import Cluster, ClusterConfig
+        from repro.cluster.cluster import Cluster, ClusterConfig
         from repro.runtime.churn import ChurnConfig, ChurnEngine
         from repro.runtime.fault import FaultHandler
         from repro.runtime.shard import ShardUnavailableError

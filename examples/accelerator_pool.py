@@ -15,7 +15,8 @@ Run with:  python examples/accelerator_pool.py [--dataset-mb N]
 import argparse
 from dataclasses import replace
 
-from repro.core import VeniceConfig, VeniceSystem
+from repro.core.config import VeniceConfig
+from repro.core.system import VeniceSystem
 from repro.core.sharing.remote_accelerator import (
     AcceleratorPool,
     LocalAcceleratorTarget,

@@ -16,7 +16,7 @@ same flow to a fleet:
 Run with:  python examples/cluster_scaling.py
 """
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 
 MB = 1024 * 1024
 

@@ -15,7 +15,8 @@ per-packet forwarding path while 256 B packets approach line rate.
 Run with:  python examples/nic_sharing.py
 """
 
-from repro.core import VeniceConfig, VeniceSystem
+from repro.core.config import VeniceConfig
+from repro.core.system import VeniceSystem
 from repro.core.sharing.remote_nic import RemoteNicSharing
 from repro.workloads.iperf import IperfConfig, IperfWorkload
 

@@ -13,7 +13,8 @@ This walks the complete Figure 2 flow from the public API:
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import VeniceConfig, VeniceSystem
+from repro.core.config import VeniceConfig
+from repro.core.system import VeniceSystem
 from repro.mem.swap import LocalDiskSwapDevice, SwapConfig, SwapManager
 
 MB = 1024 * 1024

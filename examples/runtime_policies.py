@@ -13,13 +13,13 @@ Run with:  python examples/runtime_policies.py
 from collections import Counter
 
 from repro.fabric.topology import build_mesh3d
-from repro.runtime import (
+from repro.runtime.agent import NodeAgent
+from repro.runtime.fault import FaultHandler
+from repro.runtime.monitor import MonitorNode
+from repro.runtime.policies import (
     BandwidthAwarePolicy,
     DistanceFirstPolicy,
-    FaultHandler,
     LoadBalancedPolicy,
-    MonitorNode,
-    NodeAgent,
 )
 
 MB = 1024 * 1024

@@ -6,21 +6,3 @@ crypto accelerators in its mailbox example.  This package models the
 accelerator devices themselves and the mailbox abstraction Venice uses
 to expose a (possibly remote) accelerator to applications.
 """
-
-from repro.accel.device import (
-    Accelerator,
-    AcceleratorConfig,
-    FftAccelerator,
-    CryptoAccelerator,
-)
-from repro.accel.mailbox import Mailbox, MailboxTask, MailboxState
-
-__all__ = [
-    "Accelerator",
-    "AcceleratorConfig",
-    "FftAccelerator",
-    "CryptoAccelerator",
-    "Mailbox",
-    "MailboxTask",
-    "MailboxState",
-]

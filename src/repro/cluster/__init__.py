@@ -8,15 +8,3 @@
 * :mod:`repro.cluster.latency_cache` -- shared memoization of the
   closed-form path latencies so N-node sweeps stay cheap.
 """
-
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.latency_cache import ClusterLatencyCache
-from repro.cluster.matchmaker import Matchmaker, ResourceShare
-
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "ClusterLatencyCache",
-    "Matchmaker",
-    "ResourceShare",
-]

@@ -14,34 +14,3 @@ substrates:
 * :mod:`repro.core.node` / :mod:`repro.core.system` -- node composition
   and whole-system wiring over a topology.
 """
-
-from repro.core.config import (
-    VeniceConfig,
-    FabricConfig,
-    ChannelPlacement,
-    CrmaConfig,
-    RdmaConfig,
-    QPairConfig,
-)
-from repro.core.address import RemoteAddressMappingTable, RamtEntry, TransportTlb
-from repro.core.channels import CrmaChannel, RdmaChannel, QPairChannel, FabricPath
-from repro.core.node import VeniceNode
-from repro.core.system import VeniceSystem
-
-__all__ = [
-    "VeniceConfig",
-    "FabricConfig",
-    "ChannelPlacement",
-    "CrmaConfig",
-    "RdmaConfig",
-    "QPairConfig",
-    "RemoteAddressMappingTable",
-    "RamtEntry",
-    "TransportTlb",
-    "CrmaChannel",
-    "RdmaChannel",
-    "QPairChannel",
-    "FabricPath",
-    "VeniceNode",
-    "VeniceSystem",
-]

@@ -17,42 +17,3 @@ inter-channel collaboration (Section 5.1.3).
   :class:`~repro.core.channels.backend.EventBackend` (measured packets
   over the shared event-driven fabric).
 """
-
-from repro.core.channels.backend import (
-    ClosedFormBackend,
-    CrossTrafficDriver,
-    EventBackend,
-    EventTransport,
-    PendingOp,
-    TransportBackend,
-    TransportError,
-)
-from repro.core.channels.path import FabricPath
-from repro.core.channels.crma import CrmaChannel, CrmaRemoteBackend
-from repro.core.channels.rdma import RdmaChannel, RdmaSwapDevice
-from repro.core.channels.qpair import QPairChannel, QPairRemoteMemoryBackend
-from repro.core.channels.collaboration import (
-    AdaptiveChannelSelector,
-    CreditFlowControlModel,
-    ChannelChoice,
-)
-
-__all__ = [
-    "TransportBackend",
-    "TransportError",
-    "ClosedFormBackend",
-    "EventBackend",
-    "EventTransport",
-    "PendingOp",
-    "CrossTrafficDriver",
-    "FabricPath",
-    "CrmaChannel",
-    "CrmaRemoteBackend",
-    "RdmaChannel",
-    "RdmaSwapDevice",
-    "QPairChannel",
-    "QPairRemoteMemoryBackend",
-    "AdaptiveChannelSelector",
-    "CreditFlowControlModel",
-    "ChannelChoice",
-]

@@ -7,35 +7,3 @@
 * :mod:`repro.core.sharing.remote_nic` -- IP-over-QPair virtual NICs
   combined with Linux bonding.
 """
-
-from repro.core.sharing.remote_memory import (
-    MemorySharingError,
-    RemoteMemoryGrant,
-    share_memory,
-    stop_sharing,
-    swap_device_for_grant,
-)
-from repro.core.sharing.remote_accelerator import (
-    AcceleratorPool,
-    LocalAcceleratorTarget,
-    RemoteAcceleratorTarget,
-)
-from repro.core.sharing.remote_nic import (
-    RemoteNicSharing,
-    VirtualNic,
-    VnicDriverConfig,
-)
-
-__all__ = [
-    "MemorySharingError",
-    "RemoteMemoryGrant",
-    "share_memory",
-    "stop_sharing",
-    "swap_device_for_grant",
-    "AcceleratorPool",
-    "LocalAcceleratorTarget",
-    "RemoteAcceleratorTarget",
-    "VirtualNic",
-    "VnicDriverConfig",
-    "RemoteNicSharing",
-]

@@ -8,16 +8,3 @@ stalling on blocking accesses and optionally overlapping independent
 remote accesses when the workload permits asynchronous issue (the
 Scale-out-NUMA-style latency-tolerance baseline in Figure 5).
 """
-
-from repro.cpu.core import CpuConfig, TimingCore, ExecutionResult, LockstepGroup
-from repro.cpu.hierarchy import MemoryHierarchy, RemoteMemoryBackend, LocalOnlyBackend
-
-__all__ = [
-    "CpuConfig",
-    "TimingCore",
-    "ExecutionResult",
-    "LockstepGroup",
-    "MemoryHierarchy",
-    "RemoteMemoryBackend",
-    "LocalOnlyBackend",
-]

@@ -11,36 +11,3 @@ configuration wins, by roughly what factor, and where the crossovers
 fall.  Scaling factors (dataset and memory sizes reduced together) are
 documented per driver.
 """
-
-from repro.experiments.fig03_commodity import run_fig03
-from repro.experiments.fig05_arch_support import run_fig05
-from repro.experiments.fig06_router import run_fig06
-from repro.experiments.fig14_redis_memory import run_fig14
-from repro.experiments.fig15_remote_memory import run_fig15
-from repro.experiments.fig16_accel_nic import run_fig16a, run_fig16b
-from repro.experiments.fig17_channels import run_fig17
-from repro.experiments.fig18_flow_control import run_fig18
-from repro.experiments.fig_cluster_contended import run_fig_cluster_contended
-from repro.experiments.fig_cluster_contention import (
-    run_fig_cluster_contention,
-    run_fig_cluster_contention_closed_loop,
-)
-from repro.experiments.fig_cluster_scaling import run_fig_cluster_scaling
-from repro.experiments.hardware_cost import run_hardware_cost
-
-__all__ = [
-    "run_fig03",
-    "run_fig05",
-    "run_fig06",
-    "run_fig14",
-    "run_fig15",
-    "run_fig16a",
-    "run_fig16b",
-    "run_fig17",
-    "run_fig18",
-    "run_fig_cluster_contended",
-    "run_fig_cluster_contention",
-    "run_fig_cluster_contention_closed_loop",
-    "run_fig_cluster_scaling",
-    "run_hardware_cost",
-]

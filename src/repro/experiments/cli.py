@@ -9,63 +9,57 @@ benchmark harness produces, without pytest).
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Dict, List
+import importlib
+from typing import Dict, List, Tuple
 
-from repro.experiments.fig03_commodity import run_fig03
-from repro.experiments.fig05_arch_support import run_fig05
-from repro.experiments.fig06_router import run_fig06
-from repro.experiments.fig14_redis_memory import run_fig14
-from repro.experiments.fig15_remote_memory import run_fig15, run_fig15_contended
-from repro.experiments.fig16_accel_nic import (
-    run_fig16a,
-    run_fig16b,
-    run_fig16_contended,
-)
-from repro.experiments.fig17_channels import run_fig17
-from repro.experiments.fig18_flow_control import run_fig18
-from repro.experiments.fig_cluster_churn import run_fig_cluster_churn
-from repro.experiments.fig_cluster_contended import run_fig_cluster_contended
-from repro.experiments.fig_cluster_contention import (
-    run_fig_cluster_contention,
-    run_fig_cluster_contention_closed_loop,
-)
-from repro.experiments.fig_cluster_scaling import run_fig_cluster_scaling
-from repro.experiments.fig_mn_failover import run_fig_mn_failover
-from repro.experiments.hardware_cost import run_hardware_cost
+_PKG = "repro.experiments"
 
-#: Experiment id -> (description, driver).
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig03": ("remote memory over commodity interconnects", run_fig03),
-    "fig05": ("impact of architectural support for remote access", run_fig05),
-    "fig06": ("overhead of a one-level external router", run_fig06),
-    "fig14": ("mini data-center Redis memory sweep", run_fig14),
-    "fig15": ("CRMA versus RDMA-swap remote memory", run_fig15),
-    "fig16a": ("remote accelerator sharing", run_fig16a),
-    "fig16b": ("remote NIC sharing", run_fig16b),
+#: Experiment id -> (description, ``module:function`` of its driver).  A
+#: driver's module is imported only when that experiment runs.
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "fig03": ("remote memory over commodity interconnects",
+              f"{_PKG}.fig03_commodity:run_fig03"),
+    "fig05": ("impact of architectural support for remote access",
+              f"{_PKG}.fig05_arch_support:run_fig05"),
+    "fig06": ("overhead of a one-level external router",
+              f"{_PKG}.fig06_router:run_fig06"),
+    "fig14": ("mini data-center Redis memory sweep",
+              f"{_PKG}.fig14_redis_memory:run_fig14"),
+    "fig15": ("CRMA versus RDMA-swap remote memory",
+              f"{_PKG}.fig15_remote_memory:run_fig15"),
+    "fig16a": ("remote accelerator sharing",
+               f"{_PKG}.fig16_accel_nic:run_fig16a"),
+    "fig16b": ("remote NIC sharing", f"{_PKG}.fig16_accel_nic:run_fig16b"),
     "fig15_contended": ("fig15 workloads over the contended event fabric "
                         "(event transport backend + cross-traffic)",
-                        run_fig15_contended),
+                        f"{_PKG}.fig15_remote_memory:run_fig15_contended"),
     "fig16_contended": ("fig16 sharing over the contended event fabric "
                         "(event transport backend + cross-traffic)",
-                        run_fig16_contended),
-    "fig17": ("channel comparison per access pattern", run_fig17),
-    "fig18": ("credit flow control over CRMA", run_fig18),
+                        f"{_PKG}.fig16_accel_nic:run_fig16_contended"),
+    "fig17": ("channel comparison per access pattern",
+              f"{_PKG}.fig17_channels:run_fig17"),
+    "fig18": ("credit flow control over CRMA",
+              f"{_PKG}.fig18_flow_control:run_fig18"),
     "cluster": ("N-node cluster scaling over the fat-tree fabric",
-                run_fig_cluster_scaling),
+                f"{_PKG}.fig_cluster_scaling:run_fig_cluster_scaling"),
     "contention": ("queueing delay under cross-traffic on the event fabric",
-                   run_fig_cluster_contention),
+                   f"{_PKG}.fig_cluster_contention:run_fig_cluster_contention"),
     "contention_closed": ("contended request/response round-trips over the "
                           "event fabric (closed-loop)",
-                          run_fig_cluster_contention_closed_loop),
+                          f"{_PKG}.fig_cluster_contention:"
+                          "run_fig_cluster_contention_closed_loop"),
     "cluster_contended": ("concurrent borrowers' measured reads on the "
                           "shared fleet fabric vs the serialized op driver",
-                          run_fig_cluster_contended),
+                          f"{_PKG}.fig_cluster_contended:"
+                          "run_fig_cluster_contended"),
     "churn": ("deterministic fault campaigns with live recovery over the "
-              "contended event fabric", run_fig_cluster_churn),
+              "contended event fabric",
+              f"{_PKG}.fig_cluster_churn:run_fig_cluster_churn"),
     "mn_failover": ("sharded Monitor Node crash failover, coordinator "
                     "throughput and contention-aware matchmaking",
-                    run_fig_mn_failover),
-    "hwcost": ("Section 7.3 hardware cost", run_hardware_cost),
+                    f"{_PKG}.fig_mn_failover:run_fig_mn_failover"),
+    "hwcost": ("Section 7.3 hardware cost",
+               f"{_PKG}.hardware_cost:run_hardware_cost"),
 }
 
 
@@ -77,12 +71,13 @@ def available_experiments() -> List[str]:
 def run_experiment(name: str):
     """Run one experiment by id and return its FigureReport."""
     try:
-        _description, driver = EXPERIMENTS[name]
+        _description, target = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
         ) from None
-    return driver()
+    module, _, function = target.partition(":")
+    return getattr(importlib.import_module(module), function)()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +102,7 @@ def main(argv: List[str] = None) -> int:
         selected = args.experiments
     if not selected:
         print("available experiments:")
-        for name, (description, _driver) in EXPERIMENTS.items():
+        for name, (description, _target) in EXPERIMENTS.items():
             print(f"  {name:<8} {description}")
         print("\nrun with: python -m repro.experiments <ids...> | --all")
         return 0

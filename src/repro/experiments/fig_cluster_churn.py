@@ -28,8 +28,8 @@ Each fault scale is compared against a fault-free baseline of the same
 shape, yielding the replay-storm amplification (datalink replays under
 churn over replays from BER alone) and the steady-state throughput
 degradation.  For a fixed campaign seed the whole run -- campaign,
-detection, re-borrows, retries -- is byte-identical across repeats and
-across both timer backends (:func:`churn_stats_dump` is the canonical
+detection, re-borrows, retries -- is byte-identical across runs and
+dispatch cores (:func:`churn_stats_dump` is the canonical
 witness the determinism tests and the CI smoke compare).
 """
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import FigureReport
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.matchmaker import ResourceShare
 from repro.core.channels.backend import RetryPolicy
 from repro.runtime.churn import ChurnConfig, ChurnEngine
@@ -239,9 +239,9 @@ def churn_stats_dump(config: Optional[ClusterChurnConfig] = None,
                      num_nodes: int = 8, scale: int = 1) -> str:
     """Canonical JSON witness of one churn run (determinism probe).
 
-    Two calls with the same config are byte-identical, on either timer
-    backend -- the acceptance gate the determinism tests and the CI
-    churn smoke both check.
+    Two calls with the same config are byte-identical, across runs and
+    dispatch cores -- the acceptance gate the determinism tests and the
+    CI churn smoke both check.
     """
     config = config or ClusterChurnConfig()
     return json.dumps(_run_once(config, num_nodes, scale), sort_keys=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import FigureReport
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 
 #: Bytes of remote memory each borrower requests (small: the sweep
 #: measures transport interference, not capacity pressure).

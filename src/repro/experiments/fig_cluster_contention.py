@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import FigureReport
-from repro.cluster import Cluster, ClusterConfig, ClusterLatencyCache
+from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.latency_cache import ClusterLatencyCache
 from repro.fabric.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRNG

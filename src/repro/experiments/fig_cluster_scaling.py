@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.report import FigureReport
-from repro.cluster import Cluster, ClusterConfig, ClusterLatencyCache
+from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.latency_cache import ClusterLatencyCache
 
 MB = 1024 * 1024
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import FigureReport
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.matchmaker import ResourceShare
 from repro.runtime.churn import ChurnConfig, ChurnEngine
 from repro.runtime.fault import FaultHandler
@@ -219,9 +219,9 @@ def mn_failover_stats_dump(config: Optional[MnFailoverConfig] = None,
                            num_nodes: int = 8, num_shards: int = 2) -> str:
     """Canonical JSON witness of one failover run (determinism probe).
 
-    Two calls with the same config are byte-identical, on either timer
-    backend -- the acceptance gate the determinism tests and the CI
-    churn smoke both check.
+    Two calls with the same config are byte-identical, across runs and
+    dispatch cores -- the acceptance gate the determinism tests and the
+    CI churn smoke both check.
     """
     config = config or MnFailoverConfig()
     return json.dumps(_run_failover_once(config, num_nodes, num_shards),

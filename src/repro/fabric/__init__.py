@@ -17,26 +17,3 @@ The fabric is organised exactly as in Figure 7 of the paper, bottom-up:
 Transport-layer channels (CRMA, RDMA, QPair) live in
 :mod:`repro.core.channels` and sit on top of this package.
 """
-
-from repro.fabric.packet import Packet, PacketKind, FLIT_BYTES, HEADER_BYTES
-from repro.fabric.phy import PhysicalLink, LinkConfig
-from repro.fabric.datalink import DataLink, DataLinkConfig
-from repro.fabric.network import Switch, RoutingTable
-from repro.fabric.topology import Topology, build_direct_pair, build_mesh3d, build_star
-
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "FLIT_BYTES",
-    "HEADER_BYTES",
-    "PhysicalLink",
-    "LinkConfig",
-    "DataLink",
-    "DataLinkConfig",
-    "Switch",
-    "RoutingTable",
-    "Topology",
-    "build_direct_pair",
-    "build_mesh3d",
-    "build_star",
-]

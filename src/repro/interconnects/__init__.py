@@ -18,24 +18,3 @@ Each model composes a per-operation latency out of software-stack,
 adapter/IO-bus, wire and protocol components so experiments can reason
 about where the time goes.
 """
-
-from repro.interconnects.base import InterconnectProfile, round_trip_latency_ns
-from repro.interconnects.ethernet import EthernetProfile, EthernetSwapDevice
-from repro.interconnects.infiniband import InfinibandProfile, InfinibandSrpSwapDevice
-from repro.interconnects.pcie import (
-    PcieProfile,
-    PcieRdmaSwapDevice,
-    PcieLoadStoreBackend,
-)
-
-__all__ = [
-    "InterconnectProfile",
-    "round_trip_latency_ns",
-    "EthernetProfile",
-    "EthernetSwapDevice",
-    "InfinibandProfile",
-    "InfinibandSrpSwapDevice",
-    "PcieProfile",
-    "PcieRdmaSwapDevice",
-    "PcieLoadStoreBackend",
-]

@@ -6,29 +6,3 @@ memory (the paper's contribution) is layered on top by
 :mod:`repro.core.sharing.remote_memory`, which maps hot-plugged regions
 onto CRMA or RDMA channels.
 """
-
-from repro.mem.cache import Cache, CacheConfig, AccessResult
-from repro.mem.dram import Dram, DramConfig
-from repro.mem.memory_map import (
-    MemoryRegion,
-    RegionKind,
-    PhysicalMemoryMap,
-    MemoryMapError,
-)
-from repro.mem.swap import SwapDevice, SwapManager, SwapConfig, LocalDiskSwapDevice
-
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "AccessResult",
-    "Dram",
-    "DramConfig",
-    "MemoryRegion",
-    "RegionKind",
-    "PhysicalMemoryMap",
-    "MemoryMapError",
-    "SwapDevice",
-    "SwapManager",
-    "SwapConfig",
-    "LocalDiskSwapDevice",
-]

@@ -1,15 +1,3 @@
 """NIC substrate: physical NIC model, software bridge, and Linux-style
 bonding used by the remote-NIC sharing mechanism (Section 5.2.3).
 """
-
-from repro.nic.nic import Nic, NicConfig
-from repro.nic.bridge import SoftwareBridge, BridgeConfig
-from repro.nic.bonding import BondedInterface
-
-__all__ = [
-    "Nic",
-    "NicConfig",
-    "SoftwareBridge",
-    "BridgeConfig",
-    "BondedInterface",
-]

@@ -9,84 +9,3 @@ resources beyond its local capacity the MN selects donor nodes
 (distance-first, as in the prototype) and orchestrates the handshake,
 retrying on stale records.
 """
-
-from repro.runtime.tables import (
-    ResourceKind,
-    ResourceRecord,
-    ResourceRegistrationTable,
-    AllocationRecord,
-    ResourceAllocationTable,
-    LinkStatus,
-    TopologyStatusTable,
-)
-from repro.runtime.agent import NodeAgent, HeartbeatReport
-from repro.runtime.monitor import (
-    MonitorNode,
-    AllocationError,
-    Allocation,
-    BatchPlanEntry,
-    BatchPlanError,
-)
-from repro.runtime.policies import (
-    DonorSelectionPolicy,
-    DistanceFirstPolicy,
-    LoadBalancedPolicy,
-    BandwidthAwarePolicy,
-    ContentionAwarePolicy,
-    FabricContentionTelemetry,
-)
-from repro.runtime.shard import (
-    MonitorShard,
-    ShardCoordinator,
-    ShardedMonitor,
-    ShardUnavailableError,
-)
-from repro.runtime.fault import (
-    FaultHandler,
-    RecoveryAction,
-    RecoveryPlan,
-    RecoveryStep,
-)
-from repro.runtime.churn import (
-    ChurnConfig,
-    ChurnEngine,
-    ChurnEvent,
-    FaultKind,
-    generate_campaign,
-)
-
-__all__ = [
-    "ResourceKind",
-    "ResourceRecord",
-    "ResourceRegistrationTable",
-    "AllocationRecord",
-    "ResourceAllocationTable",
-    "LinkStatus",
-    "TopologyStatusTable",
-    "NodeAgent",
-    "HeartbeatReport",
-    "MonitorNode",
-    "AllocationError",
-    "Allocation",
-    "BatchPlanEntry",
-    "BatchPlanError",
-    "DonorSelectionPolicy",
-    "DistanceFirstPolicy",
-    "LoadBalancedPolicy",
-    "BandwidthAwarePolicy",
-    "ContentionAwarePolicy",
-    "FabricContentionTelemetry",
-    "MonitorShard",
-    "ShardCoordinator",
-    "ShardedMonitor",
-    "ShardUnavailableError",
-    "FaultHandler",
-    "RecoveryAction",
-    "RecoveryPlan",
-    "RecoveryStep",
-    "ChurnConfig",
-    "ChurnEngine",
-    "ChurnEvent",
-    "FaultKind",
-    "generate_campaign",
-]

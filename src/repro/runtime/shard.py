@@ -34,7 +34,7 @@ plus ``spill_forward_ns`` per cross-leaf forward.  A batch's makespan
 is the coordinator's serial cost plus the busiest shard, which is what
 the ``mn_failover`` experiment sweeps against the single-MN serial
 cost.  All bookkeeping iterates sorted structures, so a fixed seed is
-byte-identical across runs and timer backends.
+byte-identical across runs and dispatch cores.
 """
 
 from __future__ import annotations

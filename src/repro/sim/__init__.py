@@ -13,18 +13,3 @@ The engine is deliberately small and dependency-free.  It provides:
 
 Time is kept as an integer number of **nanoseconds**.
 """
-
-from repro.sim.engine import Simulator, SimulationError
-from repro.sim.resources import SimEvent, CreditPool
-from repro.sim.stats import Counter, StatsRegistry
-from repro.sim.rng import DeterministicRNG
-
-__all__ = [
-    "Simulator",
-    "SimulationError",
-    "SimEvent",
-    "CreditPool",
-    "Counter",
-    "StatsRegistry",
-    "DeterministicRNG",
-]

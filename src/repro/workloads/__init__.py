@@ -19,41 +19,3 @@ scaled down so experiments complete in seconds:
 * :mod:`repro.workloads.iperf` -- iPerf-style fixed-size packet streams.
 * :mod:`repro.workloads.rmat` -- R-MAT synthetic graph generator.
 """
-
-from repro.workloads.base import Workload, WorkloadResult
-from repro.workloads.kvstore import KeyValueWorkload, KeyValueConfig
-from repro.workloads.pagerank import PageRankWorkload, PageRankConfig
-from repro.workloads.connected_components import (
-    ConnectedComponentsWorkload,
-    ConnectedComponentsConfig,
-)
-from repro.workloads.grep import GrepWorkload, GrepConfig
-from repro.workloads.graph500 import Graph500Workload, Graph500Config
-from repro.workloads.rediscache import RedisCacheWorkload, RedisCacheConfig, MysqlBackingStore
-from repro.workloads.fft_offload import FftOffloadWorkload, FftOffloadConfig
-from repro.workloads.iperf import IperfWorkload, IperfConfig
-from repro.workloads.rmat import RmatGenerator, RmatConfig
-
-__all__ = [
-    "Workload",
-    "WorkloadResult",
-    "KeyValueWorkload",
-    "KeyValueConfig",
-    "PageRankWorkload",
-    "PageRankConfig",
-    "ConnectedComponentsWorkload",
-    "ConnectedComponentsConfig",
-    "GrepWorkload",
-    "GrepConfig",
-    "Graph500Workload",
-    "Graph500Config",
-    "RedisCacheWorkload",
-    "RedisCacheConfig",
-    "MysqlBackingStore",
-    "FftOffloadWorkload",
-    "FftOffloadConfig",
-    "IperfWorkload",
-    "IperfConfig",
-    "RmatGenerator",
-    "RmatConfig",
-]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, ClusterLatencyCache
+from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.latency_cache import ClusterLatencyCache
 from repro.core.channels.path import CachedFabricPath, FabricPath, size_class
 from repro.fabric.phy import RouterConfig
 from repro.runtime.tables import ResourceKind

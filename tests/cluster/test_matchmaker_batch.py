@@ -9,7 +9,7 @@ access concurrently over the fleet fabric.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.runtime.monitor import AllocationError, BatchPlanError
 
 MB = 1024 * 1024

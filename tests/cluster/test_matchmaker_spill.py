@@ -8,7 +8,7 @@ down like any others.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.runtime.monitor import AllocationError
 from repro.runtime.tables import ResourceKind
 

@@ -1,5 +1,11 @@
 """Unit tests for the experiment command-line runner."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, available_experiments, main, run_experiment
@@ -42,3 +48,31 @@ def test_main_runs_selected_experiments(capsys):
 def test_main_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["not-a-figure"])
+
+
+def _repro_modules_loaded_by(module):
+    """The ``repro`` modules a fresh interpreter holds after importing ``module``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (f"import json, sys, {module}; print(json.dumps(sorted("
+            "name for name in sys.modules if name.split('.')[0] == 'repro')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_drivers_load_only_their_own_layers():
+    driver = "repro.experiments.fig14_redis_memory"
+    loaded = _repro_modules_loaded_by(driver)
+    unrelated_packages = {f"repro.{package}" for package in
+                          ("runtime", "cluster", "nic", "accel", "interconnects")}
+    unrelated = [name for name in loaded
+                 if ".".join(name.split(".")[:2]) in unrelated_packages]
+    assert unrelated == []
+    other_drivers = [name for name in loaded if name != driver
+                     and name.startswith("repro.experiments.fig")]
+    assert other_drivers == []
+    assert len(loaded) <= 40, loaded
+    cli_loaded = _repro_modules_loaded_by("repro.experiments.cli")
+    assert [name for name in cli_loaded if name.startswith("repro.experiments.")
+            and name != "repro.experiments.cli"] == []

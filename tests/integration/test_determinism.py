@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.experiments.fig_cluster_contention import (
     ClusterContentionConfig,
     _FabricRun,

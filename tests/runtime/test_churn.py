@@ -10,7 +10,7 @@ within one timeout plus a couple of pump periods, never instantly.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.fabric.topology import build_fat_tree, build_star
 from repro.runtime.churn import (
     ChurnConfig,

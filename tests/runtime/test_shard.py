@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.fabric.topology import build_fat_tree, build_star
 from repro.runtime.agent import NodeAgent
 from repro.runtime.monitor import AllocationError

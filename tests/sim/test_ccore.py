@@ -239,7 +239,7 @@ def test_run_until_and_max_events_budgets_match():
 
 
 def _star16_dump(seed: int) -> str:
-    from repro.cluster import Cluster, ClusterConfig
+    from repro.cluster.cluster import Cluster, ClusterConfig
     from repro.experiments.fig_cluster_contention import (
         ClusterContentionConfig, _FabricRun, _probe_plan)
 
